@@ -7,9 +7,11 @@
 #     suspension points, dropped tasks, determinism, status discipline, lock
 #     discipline (lock-balance / double-acquire / lock-order), and
 #     suppression auditing. (Also runs inside ctest as `lint_repo`.)
-#  3. clang-tidy (if installed): generic bug-pattern checks per .clang-tidy,
+#  3. snfsbench/selftest.py: the repository benchmark's own test (same-seed
+#     fingerprint repeatability and the correctness gate on every workload).
+#  4. clang-tidy (if installed): generic bug-pattern checks per .clang-tidy,
 #     driven by the exported compile_commands.json; warnings are errors.
-#  4. ASan/UBSan: rebuild under -fsanitize=address,undefined (the `asan`
+#  5. ASan/UBSan: rebuild under -fsanitize=address,undefined (the `asan`
 #     CMake preset) and run fault_injection_test — the crash/restart and
 #     fault-injection paths are where lifetime bugs (coroutines outliving
 #     peers, use-after-free on restart) would hide.
@@ -84,6 +86,13 @@ diff <(grep -v '^wrote ' bench/baselines/bench_andrew_stdout.txt) \
      <(grep -v '^wrote ' "$baseline_tmp/andrew_stdout.txt")
 diff <(grep -v '^wrote ' bench/baselines/bench_sort_stdout.txt) \
      <(grep -v '^wrote ' "$baseline_tmp/sort_stdout.txt")
+
+echo "== snfsbench selftest: same-seed fingerprints and the correctness gate =="
+# The benchmark's own test: builds its binary (into $CARGO_TARGET_DIR/snfsbench,
+# default .bench_build/), runs every workload at smoke size twice untraced and
+# once traced, and fails unless each run passes the correctness gate and all
+# three print the same virtual fingerprint.
+python3 snfsbench/selftest.py
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy: generic bug patterns (gating) =="

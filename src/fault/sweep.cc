@@ -249,17 +249,7 @@ SeedStats RunFaultSeed(const SweepOptions& options, uint64_t seed) {
     client->Start();
   }
   for (auto& client : clients) {
-    switch (options.protocol) {
-      case testbed::ServerProtocol::kNfs:
-        client->MountNfs("/data", server.address(), server.root(), options.nfs);
-        break;
-      case testbed::ServerProtocol::kSnfs:
-        client->MountSnfs("/data", server.address(), server.root(), options.snfs);
-        break;
-      case testbed::ServerProtocol::kNqnfs:
-        client->MountNqnfs("/data", server.address(), server.root(), options.nqnfs);
-        break;
-    }
+    client->MountRemote(options.protocol, "/data", server.address(), server.root(), options);
   }
 
   testbed::ApplyFaultSchedule(simulator, network, &server, client_ptrs, options.schedule);

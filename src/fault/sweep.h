@@ -32,7 +32,8 @@
 
 namespace fault {
 
-struct SweepOptions {
+// The inherited nfs / snfs / nqnfs members configure the clients.
+struct SweepOptions : testbed::ClientProtocolParams {
   testbed::ServerProtocol protocol = testbed::ServerProtocol::kSnfs;
   int num_clients = 2;
   int files_per_client = 3;
@@ -49,9 +50,6 @@ struct SweepOptions {
   net::NetworkParams network;
   testbed::ServerMachineParams server;
   testbed::ClientMachineParams client;
-  nfs::NfsClientParams nfs;
-  snfs::SnfsClientParams snfs;
-  nqnfs::NqnfsClientParams nqnfs;
 
   // Record a causal trace of the whole run and validate it with
   // trace::CheckTrace; violations fail the seed like any other invariant.

@@ -16,6 +16,8 @@
 //  * optionally, the invalidate-on-close bug the paper diagnoses in §5.2
 //    ("our version of the NFS code invalidates the client data cache when
 //    a file is closed") — on by default to match the measured system.
+//
+// The node table and the namespace operations live in nfs::RemoteClient.
 #ifndef SRC_NFS_CLIENT_H_
 #define SRC_NFS_CLIENT_H_
 
@@ -23,11 +25,11 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/buffer_cache.h"
 #include "src/net/network.h"
+#include "src/nfs/remote_client.h"
 #include "src/proto/messages.h"
 #include "src/rpc/peer.h"
 #include "src/sim/simulator.h"
@@ -37,24 +39,16 @@
 namespace nfs {
 
 struct NfsClientParams {
-  sim::Duration attr_timeout_min = sim::Sec(3);
-  sim::Duration attr_timeout_max = sim::Sec(60);
-  int num_biods = 8;
   bool invalidate_on_close = true;   // the Ultrix bug (§5.2)
   bool delay_partial_writes = true;  // reference-port optimization
 };
 
-class NfsClient : public vfs::FileSystem {
+class NfsClient : public RemoteClient {
  public:
   NfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
             proto::FileHandle root_fh, cache::BufferCache& cache, NfsClientParams params = {});
 
   // --- vfs::FileSystem ------------------------------------------------------
-  sim::Task<base::Result<vfs::GnodeRef>> Root() override;
-  sim::Task<base::Result<vfs::GnodeRef>> Lookup(vfs::GnodeRef dir, std::string name) override;
-  sim::Task<base::Result<vfs::GnodeRef>> Create(vfs::GnodeRef dir, std::string name,
-                                                bool exclusive) override;
-  sim::Task<base::Result<vfs::GnodeRef>> Mkdir(vfs::GnodeRef dir, std::string name) override;
   sim::Task<base::Result<void>> Open(vfs::GnodeRef node, bool write) override;
   sim::Task<base::Result<void>> Close(vfs::GnodeRef node, bool write) override;
   sim::Task<base::Result<std::vector<uint8_t>>> Read(vfs::GnodeRef node, uint64_t offset,
@@ -65,32 +59,35 @@ class NfsClient : public vfs::FileSystem {
   sim::Task<base::Result<void>> Truncate(vfs::GnodeRef node, uint64_t size) override;
   sim::Task<base::Result<void>> Remove(vfs::GnodeRef dir, std::string name,
                                        vfs::GnodeRef target) override;
-  sim::Task<base::Result<void>> Rmdir(vfs::GnodeRef dir, std::string name) override;
-  sim::Task<base::Result<void>> Rename(vfs::GnodeRef from_dir, std::string from_name,
-                                       vfs::GnodeRef to_dir, std::string to_name) override;
-  sim::Task<base::Result<std::vector<proto::DirEntry>>> ReadDir(vfs::GnodeRef dir) override;
   sim::Task<base::Result<void>> Fsync(vfs::GnodeRef node) override;
 
-  int mount_id() const { return mount_id_; }
   uint64_t attr_probes() const { return attr_probes_; }
   uint64_t cache_invalidations() const { return cache_invalidations_; }
 
  private:
-  struct NfsNode : vfs::Gnode {
+  struct NfsNode : Node {
+    explicit NfsNode(sim::Simulator& simulator) : writes(simulator) {}
+
     sim::Time attr_fetched = -1;             // virtual time of last server attrs
     sim::Duration attr_timeout = 0;          // current adaptive timeout
     sim::Time cached_data_mtime = -1;        // mtime the cached blocks match (-1: none)
-    int pending_writes = 0;                  // async write RPCs in flight
+    sim::WaitGroup writes;                   // async write RPCs in flight
     base::Status write_error;                // first async write failure (reported at close)
-    std::vector<std::coroutine_handle<>> write_waiters;
     // Delayed partial-block buffers: block -> bytes [block start, len).
     std::map<uint64_t, std::vector<uint8_t>> partial;
   };
   using NodeRef = std::shared_ptr<NfsNode>;
 
-  static NodeRef AsNode(const vfs::GnodeRef& node);
-  NodeRef Intern(const proto::FileHandle& fh, const proto::Attr& attr);
-  void UpdateAttrs(NfsNode& node, const proto::Attr& attr);
+  // --- RemoteClient hooks ---------------------------------------------------
+  RemoteClient::NodeRef NewNode() override;
+  // Our own in-flight writes keep the local size ahead of the server's.
+  void RefreshAttrs(Node& node, const proto::Attr& attr) override;
+  void OnFetched(Node& node, const proto::Attr& attr) override;
+  // A fresh file: we know its (empty) content.
+  void OnCreated(Node& node) override;
+  // Delayed partial blocks are kernel memory: they die with the machine.
+  void OnCrash(Node& node) override;
+
   void AdaptTimeout(NfsNode& node, bool changed);
   void InvalidateData(NfsNode& node);
 
@@ -101,25 +98,13 @@ class NfsClient : public vfs::FileSystem {
   // Write-behind machinery.
   void SpawnAsyncWrite(NodeRef node, uint64_t offset, std::vector<uint8_t> data);
   sim::Task<void> AsyncWriteBody(NodeRef node, uint64_t offset, std::vector<uint8_t> data);
-  sim::Task<base::Result<void>> FlushPartials(NodeRef node);
-  sim::Task<void> DrainWrites(NodeRef node);
+  void FlushPartials(const NodeRef& node);
+  // Pushes out delayed partial blocks, waits for every write-through, and
+  // returns (then clears) the first write error.
+  sim::Task<base::Result<void>> FinishWrites(NodeRef node);
 
-  struct WriteDrainAwaiter {
-    NfsNode& node;
-    bool await_ready() const noexcept { return node.pending_writes == 0; }
-    void await_suspend(std::coroutine_handle<> h) { node.write_waiters.push_back(h); }
-    void await_resume() const noexcept {}
-  };
-
-  sim::Simulator& simulator_;
-  rpc::Peer& peer_;
-  net::Address server_;
-  proto::FileHandle root_fh_;
-  cache::BufferCache& cache_;
   NfsClientParams params_;
-  int mount_id_;
   sim::Semaphore biods_;
-  std::unordered_map<uint64_t, NodeRef> nodes_;
   uint64_t attr_probes_ = 0;
   uint64_t cache_invalidations_ = 0;
 };

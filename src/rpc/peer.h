@@ -193,9 +193,11 @@ class Peer {
   uint64_t stale_replies_dropped_ = 0;
 };
 
-// Helper to unwrap a typed reply body from a generic Reply.
+// Helper to unwrap a typed reply body from a generic Reply. Takes the reply
+// by rvalue reference, so a caller that looked at the reply first hands it
+// on without another move.
 template <typename T>
-base::Result<T> Expect(base::Result<proto::Reply> reply) {
+base::Result<T> Expect(base::Result<proto::Reply>&& reply) {
   if (!reply.ok()) {
     return reply.status();
   }

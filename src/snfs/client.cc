@@ -8,98 +8,34 @@
 
 namespace snfs {
 
-using cache::kBlockSize;
+namespace {
+// §6.2 delayed close: a file not reopened for this long is closed
+// spontaneously by a scan that runs at this period.
+constexpr sim::Duration kDelayedCloseTimeout = sim::Sec(180);
+constexpr sim::Duration kDelayedCloseScan = sim::Sec(30);
+// Retry policy for opens while the server is in its recovery grace period
+// (§2.4).
+constexpr int kOpenRetryLimit = 90;
+constexpr sim::Duration kOpenRetryDelay = sim::Sec(1);
+}  // namespace
 
 SnfsClient::SnfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
                        proto::FileHandle root_fh, cache::BufferCache& cache,
                        SnfsClientParams params)
-    : simulator_(simulator),
-      peer_(peer),
-      server_(server),
-      root_fh_(root_fh),
-      cache_(cache),
-      params_(params) {
-  cache::Backing backing;
-  backing.fetch = [this](uint64_t fileid, uint64_t block)
-      -> sim::Task<base::Result<std::vector<uint8_t>>> {
-    auto it = nodes_.find(fileid);
-    if (it == nodes_.end()) {
-      co_return base::ErrStale();
-    }
-    proto::ReadReq req;
-    req.fh = it->second->fh;
-    req.offset = block * kBlockSize;
-    req.count = kBlockSize;
-    auto rep = rpc::Expect<proto::ReadRep>(co_await peer_.Call(server_, req));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    co_return std::move(rep->data);
-  };
-  backing.store = [this](uint64_t fileid, uint64_t block,
-                         std::vector<uint8_t> data) -> sim::Task<base::Result<void>> {
-    auto it = nodes_.find(fileid);
-    if (it == nodes_.end()) {
-      co_return base::ErrStale();
-    }
-    proto::WriteReq req;
-    req.fh = it->second->fh;
-    req.offset = block * kBlockSize;
-    req.data = std::move(data);
-    auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    co_return base::OkStatus();
-  };
-  // Attribute this mount's dirty-state transitions to the SNFS protocol on
-  // this host, so the trace checker can enforce single-writer caching.
-  backing.trace_name = "snfs";
-  backing.trace_machine = peer_.address().host;
-  mount_id_ = cache_.RegisterMount(std::move(backing));
-}
+    : RemoteClient(simulator, peer, server, root_fh, cache, "snfs"), params_(params) {}
 
-void SnfsClient::Start() {
-  if (running_) {
-    return;
-  }
-  running_ = true;
-  ++daemon_generation_;
+void SnfsClient::SpawnDaemons(uint64_t generation) {
   if (params_.delayed_close) {
-    simulator_.Spawn(DelayedCloseDaemon(daemon_generation_));
+    simulator_.Spawn(DelayedCloseDaemon(generation));
   }
   if (params_.enable_recovery) {
-    simulator_.Spawn(KeepaliveDaemon(daemon_generation_));
+    simulator_.Spawn(KeepaliveDaemon(generation));
   }
 }
-
-void SnfsClient::Stop() { running_ = false; }
 
 void SnfsClient::Reset() {
-  nodes_.clear();
+  RemoteClient::Reset();
   last_seen_epoch_ = 0;
-}
-
-SnfsClient::NodeRef SnfsClient::AsNode(const vfs::GnodeRef& node) {
-  return std::static_pointer_cast<SnfsNode>(node);
-}
-
-SnfsClient::NodeRef SnfsClient::Intern(const proto::FileHandle& fh, const proto::Attr& attr) {
-  auto it = nodes_.find(fh.fileid);
-  if (it != nodes_.end() && it->second->fh == fh) {
-    // Attributes for files we hold dirty data on are locally authoritative.
-    if (!cache_.HasDirty(mount_id_, fh.fileid)) {
-      proto::Attr merged = attr;
-      merged.size = std::max(merged.size, it->second->attr.size);
-      it->second->attr = merged;
-    }
-    return it->second;
-  }
-  auto node = std::make_shared<SnfsNode>();
-  node->fh = fh;
-  node->attr = attr;
-  nodes_[fh.fileid] = node;
-  return node;
 }
 
 // --- open/close --------------------------------------------------------------
@@ -109,11 +45,11 @@ sim::Task<base::Result<void>> SnfsClient::SendOpen(NodeRef node, bool write) {
   req.fh = node->fh;
   req.write_mode = write;
   for (int attempt = 0;; ++attempt) {
-    auto rep = rpc::Expect<proto::OpenRep>(co_await peer_.Call(server_, req));
+    auto rep = Accept<proto::OpenRep>(co_await peer_.Call(server_, req));
     if (!rep.ok()) {
-      if (rep.status() == base::ErrUnavailable() && attempt < params_.open_retry_limit) {
+      if (rep.status() == base::ErrUnavailable() && attempt < kOpenRetryLimit) {
         // Server is rebooting / in its recovery grace period.
-        co_await sim::Sleep(simulator_, params_.open_retry_delay);
+        co_await sim::Sleep(simulator_, kOpenRetryDelay);
         continue;
       }
       co_return rep.status();
@@ -126,10 +62,8 @@ sim::Task<base::Result<void>> SnfsClient::SendOpen(NodeRef node, bool write) {
                        (node->cached_version == rep->version ||
                         (write && node->cached_version == rep->prev_version));
     if (node->have_cached_data && !cache_valid) {
-      cache_.InvalidateFile(mount_id_, node->fh.fileid);
-      node->have_cached_data = false;
-      TRACE_INSTANT("snfs.invalidated", peer_.address().host,
-                    "file=" + std::to_string(node->fh.fileid) + " reason=version");
+      DropCachedData(*node);
+      TraceInvalidated(*node, "version");
     }
     node->cached_version = rep->version;
     node->cache_enabled = rep->cache_enabled;
@@ -144,17 +78,14 @@ sim::Task<base::Result<void>> SnfsClient::SendOpen(NodeRef node, bool write) {
       if (cache_.HasDirty(mount_id_, node->fh.fileid)) {
         (void)co_await cache_.FlushFile(mount_id_, node->fh.fileid);
       }
-      cache_.InvalidateFile(mount_id_, node->fh.fileid);
-      node->have_cached_data = false;
+      DropCachedData(*node);
     }
     node->possibly_inconsistent = rep->possibly_inconsistent;
     if (rep->possibly_inconsistent) {
       ++inconsistent_opens_;
     }
     // The open reply carries attributes, replacing NFS's open-time getattr.
-    if (!cache_.HasDirty(mount_id_, node->fh.fileid)) {
-      node->attr = rep->attr;
-    }
+    AdoptAttrs(*node, rep->attr);
     if (write) {
       ++node->server_writes;
     } else {
@@ -189,7 +120,7 @@ sim::Task<void> SnfsClient::FlushOwedCloses(NodeRef node) {
 }
 
 sim::Task<base::Result<void>> SnfsClient::Open(vfs::GnodeRef gnode, bool write) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<SnfsNode>(gnode);
   bool need_rpc = true;
   if (params_.delayed_close) {
     // Reuse a server-side open we never closed, if its mode covers us.
@@ -201,23 +132,13 @@ sim::Task<base::Result<void>> SnfsClient::Open(vfs::GnodeRef gnode, bool write) 
   if (need_rpc) {
     CO_RETURN_IF_ERROR(co_await SendOpen(node, write));
   }
-  if (write) {
-    ++node->open_writes;
-  } else {
-    ++node->open_reads;
-  }
+  CountOpen(*node, write);
   co_return base::OkStatus();
 }
 
 sim::Task<base::Result<void>> SnfsClient::Close(vfs::GnodeRef gnode, bool write) {
-  NodeRef node = AsNode(gnode);
-  if (write) {
-    CHECK_GT(node->open_writes, 0u);
-    --node->open_writes;
-  } else {
-    CHECK_GT(node->open_reads, 0u);
-    --node->open_reads;
-  }
+  NodeRef node = AsNode<SnfsNode>(gnode);
+  CountClose(*node, write);
   node->last_close = simulator_.Now();
   if (!params_.delayed_close) {
     // No flush of dirty data here — that is the whole point of SNFS.
@@ -229,22 +150,21 @@ sim::Task<base::Result<void>> SnfsClient::Close(vfs::GnodeRef gnode, bool write)
 }
 
 sim::Task<void> SnfsClient::DelayedCloseDaemon(uint64_t generation) {
-  while (running_ && generation == daemon_generation_) {
-    co_await sim::Sleep(simulator_, params_.delayed_close_scan, /*background=*/true);
-    if (!running_ || generation != daemon_generation_) {
+  while (Running(generation)) {
+    co_await sim::Sleep(simulator_, kDelayedCloseScan, /*background=*/true);
+    if (!Running(generation)) {
       break;
     }
-    sim::Time cutoff = simulator_.Now() - params_.delayed_close_timeout;
+    sim::Time cutoff = simulator_.Now() - kDelayedCloseTimeout;
     // Spontaneously close files not reopened for a while (§6.2). Close RPCs
     // are issued in fileid order so the scan is hash-order independent.
     std::vector<NodeRef> victims;
-    for (const auto& [fileid, node] : nodes_) {  // lint: ordered-ok (sorted below)
+    for (uint64_t fileid : SortedFileids()) {
+      NodeRef node = AsNode<SnfsNode>(FindNode(fileid));
       if ((OwedReads(*node) > 0 || OwedWrites(*node) > 0) && node->last_close <= cutoff) {
         victims.push_back(node);
       }
     }
-    std::sort(victims.begin(), victims.end(),
-              [](const NodeRef& a, const NodeRef& b) { return a->fh.fileid < b->fh.fileid; });
     if (!victims.empty()) {
       TRACE_INSTANT("snfs.delayed_close_scan", peer_.address().host,
                     "victims=" + std::to_string(victims.size()));
@@ -257,32 +177,15 @@ sim::Task<void> SnfsClient::DelayedCloseDaemon(uint64_t generation) {
 
 // --- callbacks ----------------------------------------------------------------
 
-sim::Task<proto::Reply> SnfsClient::HandleCallback(proto::CallbackReq req) {
-  ++callbacks_served_;
-  trace::Span serve_span;
-  if (trace::Active() != nullptr) {
-    serve_span.Begin("snfs.callback_serve", peer_.address().host,
-                     "file=" + std::to_string(req.fh.fileid) +
-                         " wb=" + (req.writeback ? "1" : "0") +
-                         " inv=" + (req.invalidate ? "1" : "0") +
-                         " rel=" + (req.relinquish ? "1" : "0"));
-  }
-  auto it = nodes_.find(req.fh.fileid);
-  if (it == nodes_.end() || !(it->second->fh == req.fh)) {
-    co_return proto::OkReply(proto::CallbackRep{});
-  }
-  NodeRef node = it->second;
-  if (req.writeback) {
-    // "The client should not return from the callback RPC until all the
-    // dirty blocks have been written back to the server."
-    (void)co_await cache_.FlushFile(mount_id_, node->fh.fileid);
-  }
+std::string SnfsClient::CallbackSpanArgs(const proto::CallbackReq& req) const {
+  return RemoteClient::CallbackSpanArgs(req) + " rel=" + (req.relinquish ? "1" : "0");
+}
+
+void SnfsClient::OnCallback(RemoteClient::NodeRef base, const proto::CallbackReq& req) {
+  NodeRef node = AsNode<SnfsNode>(base);
   if (req.invalidate) {
-    cache_.InvalidateFile(mount_id_, node->fh.fileid);
-    node->have_cached_data = false;
     node->cache_enabled = false;
-    TRACE_INSTANT("snfs.invalidated", peer_.address().host,
-                  "file=" + std::to_string(node->fh.fileid) + " reason=callback");
+    TraceInvalidated(*node, "callback");
   }
   // §6.2: "if a client with a delayed-close file receives a callback for
   // that file, the appropriate response is to close the file so that it can
@@ -294,7 +197,6 @@ sim::Task<proto::Reply> SnfsClient::HandleCallback(proto::CallbackReq req) {
   if (params_.delayed_close && owes_closes && (req.relinquish || fully_closed_locally)) {
     simulator_.Spawn(FlushOwedCloses(node));
   }
-  co_return proto::OkReply(proto::CallbackRep{});
 }
 
 // --- recovery -----------------------------------------------------------------
@@ -307,18 +209,18 @@ sim::Task<void> SnfsClient::KeepaliveDaemon(uint64_t generation) {
   rpc::CallOptions ping_opts;
   ping_opts.timeout = sim::Sec(2);
   ping_opts.max_attempts = 2;
-  while (running_ && generation == daemon_generation_) {
+  while (Running(generation)) {
     if (!first) {
       co_await sim::Sleep(simulator_, params_.keepalive_interval, /*background=*/true);
     }
     first = false;
-    if (!running_ || generation != daemon_generation_) {
+    if (!Running(generation)) {
       break;
     }
     proto::PingReq req;
     req.sender_epoch = 1;
-    auto rep = rpc::Expect<proto::PingRep>(co_await peer_.Call(server_, req, ping_opts));
-    if (!running_ || generation != daemon_generation_) {
+    auto rep = Accept<proto::PingRep>(co_await peer_.Call(server_, req, ping_opts));
+    if (!Running(generation)) {
       co_return;  // the client crashed while the ping was in flight
     }
     if (!rep.ok()) {
@@ -341,20 +243,13 @@ sim::Task<void> SnfsClient::KeepaliveDaemon(uint64_t generation) {
 
 sim::Task<void> SnfsClient::RunRecovery() {
   ++recoveries_run_;
-  // Reopen files in fileid order: each reopen is an awaited RPC, so the
-  // walk order feeds the event queue and must not depend on hashing.
-  std::vector<uint64_t> fileids;
-  fileids.reserve(nodes_.size());
-  for (const auto& [fileid, node] : nodes_) {  // lint: ordered-ok (sorted below)
-    fileids.push_back(fileid);
-  }
-  std::sort(fileids.begin(), fileids.end());
-  for (uint64_t fileid : fileids) {
-    auto node_it = nodes_.find(fileid);
-    if (node_it == nodes_.end()) {
-      continue;
+  // Reopen files in fileid order: each reopen is an awaited RPC.
+  for (uint64_t fileid : SortedFileids()) {
+    // Hold a ref: awaits below may mutate nodes_.
+    NodeRef node = AsNode<SnfsNode>(FindNode(fileid));
+    if (node == nullptr) {
+      continue;  // removed while an earlier reopen was in flight
     }
-    NodeRef node = node_it->second;  // hold a ref: awaits below may mutate nodes_
     bool has_dirty = cache_.HasDirty(mount_id_, fileid);
     if (node->server_reads == 0 && node->server_writes == 0 && !has_dirty) {
       continue;
@@ -365,7 +260,7 @@ sim::Task<void> SnfsClient::RunRecovery() {
     req.write_count = node->server_writes;
     req.has_dirty = has_dirty;
     req.cached_version = node->cached_version;
-    auto rep = rpc::Expect<proto::ReopenRep>(co_await peer_.Call(server_, req));
+    auto rep = Accept<proto::ReopenRep>(co_await peer_.Call(server_, req));
     if (!rep.ok()) {
       LOG_INFO("snfs", "reopen for file %llu failed: %s",
                static_cast<unsigned long long>(fileid),
@@ -381,133 +276,54 @@ sim::Task<void> SnfsClient::RunRecovery() {
       if (has_dirty) {
         (void)co_await cache_.FlushFile(mount_id_, fileid);
       }
-      cache_.InvalidateFile(mount_id_, fileid);
-      node->have_cached_data = false;
+      DropCachedData(*node);
       node->cache_enabled = false;
-      TRACE_INSTANT("snfs.invalidated", peer_.address().host,
-                    "file=" + std::to_string(fileid) + " reason=reopen");
+      TraceInvalidated(*node, "reopen");
     }
   }
 }
 
-// --- namespace & data ----------------------------------------------------------
-
-sim::Task<base::Result<vfs::GnodeRef>> SnfsClient::Root() {
-  auto it = nodes_.find(root_fh_.fileid);
-  if (it != nodes_.end()) {
-    co_return vfs::GnodeRef(it->second);
-  }
-  proto::GetAttrReq req;
-  req.fh = root_fh_;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(root_fh_, rep->attr));
-}
-
-sim::Task<base::Result<vfs::GnodeRef>> SnfsClient::Lookup(vfs::GnodeRef dir,
-                                                          std::string name) {
-  proto::LookupReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::LookupRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(rep->fh, rep->attr));
-}
-
-sim::Task<base::Result<vfs::GnodeRef>> SnfsClient::Create(vfs::GnodeRef dir,
-                                                          std::string name,
-                                                          bool exclusive) {
-  proto::CreateReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  req.exclusive = exclusive;
-  auto rep = rpc::Expect<proto::CreateRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(rep->fh, rep->attr));
-}
-
-sim::Task<base::Result<vfs::GnodeRef>> SnfsClient::Mkdir(vfs::GnodeRef dir,
-                                                         std::string name) {
-  proto::MkdirReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::CreateRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(rep->fh, rep->attr));
-}
+// --- data ------------------------------------------------------------------------
 
 sim::Task<base::Result<std::vector<uint8_t>>> SnfsClient::Read(vfs::GnodeRef gnode,
                                                                uint64_t offset, uint32_t count) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<SnfsNode>(gnode);
   if (!node->cache_enabled) {
     // Write-shared: every read goes to the server, read-ahead disabled.
-    proto::ReadReq req;
-    req.fh = node->fh;
-    req.offset = offset;
-    req.count = count;
-    auto rep = rpc::Expect<proto::ReadRep>(co_await peer_.Call(server_, req));
+    auto rep = Accept<proto::ReadRep>(co_await CallRead(node->fh, offset, count));
     if (!rep.ok()) {
       co_return rep.status();
     }
     node->attr = rep->attr;
     co_return std::move(rep->data);
   }
-  // Observation point for the stale-read invariant: a cached read may only
-  // see the version the server granted at open.
-  TRACE_INSTANT("snfs.read_observe", peer_.address().host,
-                "file=" + std::to_string(node->fh.fileid) +
-                    " version=" + std::to_string(node->cached_version));
-  auto data = co_await cache_.Read(mount_id_, node->fh.fileid, offset, count, node->attr.size,
-                                   /*read_ahead=*/true);
-  if (data.ok() && !data->empty()) {
-    node->have_cached_data = true;
-  }
-  co_return data;
+  co_return co_await CachedRead(node, offset, count);
 }
 
 sim::Task<base::Result<void>> SnfsClient::Write(vfs::GnodeRef gnode, uint64_t offset,
                                                 std::vector<uint8_t> data) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<SnfsNode>(gnode);
   if (!node->cache_enabled) {
     // Reverts to (synchronous) write-through, giving single-copy
     // consistency between writer and server.
-    proto::WriteReq req;
-    req.fh = node->fh;
-    req.offset = offset;
-    req.data = data;
-    auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
+    auto rep = Accept<proto::AttrRep>(co_await CallWrite(node->fh, offset, std::move(data)));
     if (!rep.ok()) {
       co_return rep.status();
     }
     node->attr = rep->attr;
     co_return base::OkStatus();
   }
-  CO_RETURN_IF_ERROR(
-      co_await cache_.WriteDelayed(mount_id_, node->fh.fileid, offset, data, node->attr.size));
-  node->have_cached_data = true;
-  node->attr.size = std::max(node->attr.size, offset + data.size());
-  node->attr.mtime = simulator_.Now();
-  co_return base::OkStatus();
+  co_return co_await CachedWrite(node, offset, std::move(data));
 }
 
 sim::Task<base::Result<proto::Attr>> SnfsClient::GetAttr(vfs::GnodeRef gnode) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<SnfsNode>(gnode);
   if (node->cache_enabled) {
     // "In SNFS, the attributes cache needs no refreshing if the file is
     // cachable."
     co_return node->attr;
   }
-  proto::GetAttrReq req;
-  req.fh = node->fh;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
+  auto rep = Accept<proto::AttrRep>(co_await CallGetAttr(node->fh));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -515,25 +331,9 @@ sim::Task<base::Result<proto::Attr>> SnfsClient::GetAttr(vfs::GnodeRef gnode) {
   co_return node->attr;
 }
 
-sim::Task<base::Result<void>> SnfsClient::Truncate(vfs::GnodeRef gnode, uint64_t size) {
-  NodeRef node = AsNode(gnode);
-  cache_.CancelDirty(mount_id_, node->fh.fileid);
-  cache_.InvalidateFile(mount_id_, node->fh.fileid);
-  node->have_cached_data = false;
-  proto::SetAttrReq req;
-  req.fh = node->fh;
-  req.size = size;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  node->attr = rep->attr;
-  co_return base::OkStatus();
-}
-
 sim::Task<base::Result<void>> SnfsClient::Remove(vfs::GnodeRef dir, std::string name,
                                                  vfs::GnodeRef target) {
-  NodeRef victim = AsNode(target);
+  NodeRef victim = AsNode<SnfsNode>(target);
   // "Sprite and SNFS take advantage of this behavior by 'cancelling'
   // delayed writes when a file is deleted."
   cache_.CancelDirty(mount_id_, victim->fh.fileid);
@@ -542,72 +342,7 @@ sim::Task<base::Result<void>> SnfsClient::Remove(vfs::GnodeRef dir, std::string 
   if (params_.delayed_close) {
     co_await FlushOwedCloses(victim);
   }
-  proto::RemoveReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  nodes_.erase(victim->fh.fileid);
-  co_return base::OkStatus();
-}
-
-sim::Task<base::Result<void>> SnfsClient::Rmdir(vfs::GnodeRef dir, std::string name) {
-  proto::RmdirReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return base::OkStatus();
-}
-
-sim::Task<base::Result<void>> SnfsClient::Rename(vfs::GnodeRef from_dir,
-                                                 std::string from_name,
-                                                 vfs::GnodeRef to_dir,
-                                                 std::string to_name) {
-  proto::RenameReq req;
-  req.from_dir = from_dir->fh;
-  req.from_name = from_name;
-  req.to_dir = to_dir->fh;
-  req.to_name = to_name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return base::OkStatus();
-}
-
-sim::Task<base::Result<std::vector<proto::DirEntry>>> SnfsClient::ReadDir(vfs::GnodeRef dir) {
-  std::vector<proto::DirEntry> all;
-  uint64_t cookie = 0;
-  while (true) {
-    proto::ReadDirReq req;
-    req.dir = dir->fh;
-    req.cookie = cookie;
-    req.count = 64;
-    auto rep = rpc::Expect<proto::ReadDirRep>(co_await peer_.Call(server_, req));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    for (auto& e : rep->entries) {
-      cookie = e.cookie;
-      all.push_back(std::move(e));
-    }
-    if (rep->eof) {
-      break;
-    }
-  }
-  co_return all;
-}
-
-sim::Task<base::Result<void>> SnfsClient::Fsync(vfs::GnodeRef gnode) {
-  NodeRef node = AsNode(gnode);
-  // "If reliability is more important than performance, an application can
-  // use explicit file-flushing operations to cause write-through."
-  co_return co_await cache_.FlushFile(mount_id_, node->fh.fileid);
+  co_return co_await SendRemove(dir, name, victim->fh.fileid);
 }
 
 }  // namespace snfs

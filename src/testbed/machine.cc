@@ -23,16 +23,11 @@ ClientMachine::ClientMachine(sim::Simulator& simulator, net::Network& network, s
 sim::Task<proto::Reply> ClientMachine::HandleRequest(proto::Request request,
                                                      net::Address from) {
   // Client machines only serve the callback RPC (§4.2.2) — SNFS callbacks
-  // and NQNFS vacates arrive over the same channel.
+  // and NQNFS vacates arrive over the same channel; NFS takes none.
   if (const auto* cb = std::get_if<proto::CallbackReq>(&request)) {
-    for (snfs::SnfsClient* client : snfs_clients_) {
-      if (client->Owns(cb->fh)) {
-        co_return co_await client->HandleCallback(*cb);
-      }
-    }
-    for (nqnfs::NqnfsClient* client : nqnfs_clients_) {
-      if (client->Owns(cb->fh)) {
-        co_return co_await client->HandleCallback(*cb);
+    for (const RemoteMount& mount : remotes_) {
+      if (mount.protocol != ServerProtocol::kNfs && mount.client->Owns(cb->fh)) {
+        co_return co_await mount.client->HandleCallback(*cb);
       }
     }
     // No mount tracks the file (e.g. reclaimed after we dropped the node);
@@ -42,45 +37,55 @@ sim::Task<proto::Reply> ClientMachine::HandleRequest(proto::Request request,
   co_return proto::ErrorReply(base::ErrNotSupported());
 }
 
+template <typename Client>
+Client& ClientMachine::Attach(ServerProtocol protocol, const std::string& path,
+                              std::unique_ptr<Client> client) {
+  Client& ref = *client;
+  remotes_.push_back(RemoteMount{protocol, &ref});
+  vfs_->Mount(path, &ref);
+  mounts_.push_back(std::move(client));
+  if (started_) {
+    ref.Start();
+  }
+  return ref;
+}
+
 nfs::NfsClient& ClientMachine::MountNfs(const std::string& path, net::Address server,
                                         proto::FileHandle root_fh,
                                         nfs::NfsClientParams params) {
-  auto client =
-      std::make_unique<nfs::NfsClient>(simulator_, *peer_, server, root_fh, *cache_, params);
-  nfs::NfsClient& ref = *client;
-  vfs_->Mount(path, client.get());
-  mounts_.push_back(std::move(client));
-  return ref;
+  return Attach(ServerProtocol::kNfs, path,
+                std::make_unique<nfs::NfsClient>(simulator_, *peer_, server, root_fh, *cache_,
+                                                 params));
 }
 
 snfs::SnfsClient& ClientMachine::MountSnfs(const std::string& path, net::Address server,
                                            proto::FileHandle root_fh,
                                            snfs::SnfsClientParams params) {
-  auto client =
-      std::make_unique<snfs::SnfsClient>(simulator_, *peer_, server, root_fh, *cache_, params);
-  snfs::SnfsClient& ref = *client;
-  snfs_clients_.push_back(client.get());
-  vfs_->Mount(path, client.get());
-  mounts_.push_back(std::move(client));
-  if (started_) {
-    ref.Start();
-  }
-  return ref;
+  return Attach(ServerProtocol::kSnfs, path,
+                std::make_unique<snfs::SnfsClient>(simulator_, *peer_, server, root_fh, *cache_,
+                                                   params));
 }
 
 nqnfs::NqnfsClient& ClientMachine::MountNqnfs(const std::string& path, net::Address server,
                                               proto::FileHandle root_fh,
                                               nqnfs::NqnfsClientParams params) {
-  auto client =
-      std::make_unique<nqnfs::NqnfsClient>(simulator_, *peer_, server, root_fh, *cache_, params);
-  nqnfs::NqnfsClient& ref = *client;
-  nqnfs_clients_.push_back(client.get());
-  vfs_->Mount(path, client.get());
-  mounts_.push_back(std::move(client));
-  if (started_) {
-    ref.Start();
+  return Attach(ServerProtocol::kNqnfs, path,
+                std::make_unique<nqnfs::NqnfsClient>(simulator_, *peer_, server, root_fh,
+                                                     *cache_, params));
+}
+
+nfs::RemoteClient& ClientMachine::MountRemote(ServerProtocol protocol, const std::string& path,
+                                              net::Address server, proto::FileHandle root_fh,
+                                              const ClientProtocolParams& params) {
+  switch (protocol) {
+    case ServerProtocol::kNfs:
+      return MountNfs(path, server, root_fh, params.nfs);
+    case ServerProtocol::kSnfs:
+      return MountSnfs(path, server, root_fh, params.snfs);
+    case ServerProtocol::kNqnfs:
+      return MountNqnfs(path, server, root_fh, params.nqnfs);
   }
-  return ref;
+  base::CheckFailed(__FILE__, __LINE__, "unknown protocol");
 }
 
 fs::LocalMount& ClientMachine::MountLocal(const std::string& path) {
@@ -99,11 +104,8 @@ void ClientMachine::Start() {
   started_ = true;
   peer_->Start();
   cache_->Start();
-  for (snfs::SnfsClient* client : snfs_clients_) {
-    client->Start();
-  }
-  for (nqnfs::NqnfsClient* client : nqnfs_clients_) {
-    client->Start();
+  for (const RemoteMount& mount : remotes_) {
+    mount.client->Start();
   }
 }
 
@@ -111,13 +113,9 @@ void ClientMachine::Crash(net::Network& network) {
   TRACE_INSTANT("machine.crash", address().host, "kind=client");
   network.SetHostUp(address(), false);
   peer_->Shutdown();
-  for (snfs::SnfsClient* client : snfs_clients_) {
-    client->Stop();
-    client->Reset();
-  }
-  for (nqnfs::NqnfsClient* client : nqnfs_clients_) {
-    client->Stop();
-    client->Reset();
+  for (const RemoteMount& mount : remotes_) {
+    mount.client->Stop();
+    mount.client->Reset();
   }
   cache_->Stop();
   cache_->DropAll();  // cached blocks, clean and dirty, die with the kernel

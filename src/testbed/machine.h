@@ -35,6 +35,16 @@
 
 namespace testbed {
 
+enum class ServerProtocol { kNfs, kSnfs, kNqnfs };
+
+// Client parameters for each protocol; a remote mount takes the member its
+// protocol names.
+struct ClientProtocolParams {
+  nfs::NfsClientParams nfs;
+  snfs::SnfsClientParams snfs;
+  nqnfs::NqnfsClientParams nqnfs;
+};
+
 struct ClientMachineParams {
   rpc::PeerOptions peer;
   cache::BufferCacheParams cache;        // 16 MB default
@@ -58,9 +68,13 @@ class ClientMachine {
                               proto::FileHandle root_fh, snfs::SnfsClientParams params = {});
   nqnfs::NqnfsClient& MountNqnfs(const std::string& path, net::Address server,
                                  proto::FileHandle root_fh, nqnfs::NqnfsClientParams params = {});
+  // Mounts with the client `protocol` names, taking that protocol's params.
+  nfs::RemoteClient& MountRemote(ServerProtocol protocol, const std::string& path,
+                                 net::Address server, proto::FileHandle root_fh,
+                                 const ClientProtocolParams& params = {});
   fs::LocalMount& MountLocal(const std::string& path);
 
-  // Bring daemons up (RPC endpoint, sync daemon, SNFS client daemons).
+  // Bring daemons up (RPC endpoint, sync daemon, remote-client daemons).
   void Start();
   // Crash simulation: drop off the network and lose all cached state.
   void Crash(net::Network& network);
@@ -85,7 +99,15 @@ class ClientMachine {
   int crash_generation() const { return crash_generation_; }
 
  private:
+  struct RemoteMount {
+    ServerProtocol protocol;
+    nfs::RemoteClient* client;
+  };
+
   sim::Task<proto::Reply> HandleRequest(proto::Request request, net::Address from);
+  template <typename Client>
+  Client& Attach(ServerProtocol protocol, const std::string& path,
+                 std::unique_ptr<Client> client);
 
   sim::Simulator& simulator_;
   std::string name_;
@@ -96,13 +118,10 @@ class ClientMachine {
   std::unique_ptr<disk::Disk> disk_;
   std::unique_ptr<fs::LocalFs> local_fs_;
   std::vector<std::unique_ptr<vfs::FileSystem>> mounts_;
-  std::vector<snfs::SnfsClient*> snfs_clients_;
-  std::vector<nqnfs::NqnfsClient*> nqnfs_clients_;
+  std::vector<RemoteMount> remotes_;  // in mount order
   bool started_ = false;
   int crash_generation_ = 0;
 };
-
-enum class ServerProtocol { kNfs, kSnfs, kNqnfs };
 
 struct ServerMachineParams {
   rpc::PeerOptions peer;

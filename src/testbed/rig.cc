@@ -70,49 +70,23 @@ void Rig::BuildClassic() {
   // /local: the client's own disk, always present.
   clients_[0]->MountLocal(local_root_);
 
-  switch (options_.protocol) {
-    case Protocol::kLocal: {
-      clients_[0]->MountLocal(data_root_);
-      // In the local configuration /data and /local share the client disk;
-      // the data tree's parent is the local fs root.
-      data_parent_ = data_fs().root();
-      tmp_dir_ = "/local/tmp";
-      break;
-    }
-    case Protocol::kNfs: {
-      clients_[0]->MountNfs(data_root_, servers_[0]->address(), data_parent_, options_.nfs);
-      if (options_.remote_tmp) {
-        clients_[0]->MountNfs("/rtmp", servers_[0]->address(), tmp_parent, options_.nfs);
-        tmp_dir_ = "/rtmp";
-      } else {
-        tmp_dir_ = "/local/tmp";
-      }
-      break;
-    }
-    case Protocol::kSnfs: {
-      clients_[0]->MountSnfs(data_root_, servers_[0]->address(), data_parent_, options_.snfs);
-      if (options_.remote_tmp) {
-        clients_[0]->MountSnfs("/rtmp", servers_[0]->address(), tmp_parent, options_.snfs);
-        tmp_dir_ = "/rtmp";
-      } else {
-        tmp_dir_ = "/local/tmp";
-      }
-      break;
-    }
-    case Protocol::kNqnfs: {
-      clients_[0]->MountNqnfs(data_root_, servers_[0]->address(), data_parent_, options_.nqnfs);
-      if (options_.remote_tmp) {
-        clients_[0]->MountNqnfs("/rtmp", servers_[0]->address(), tmp_parent, options_.nqnfs);
-        tmp_dir_ = "/rtmp";
-      } else {
-        tmp_dir_ = "/local/tmp";
-      }
-      break;
-    }
-  }
-
   if (remote) {
+    ServerProtocol protocol = ServerProtocolFor(options_.protocol);
+    net::Address server = servers_[0]->address();
+    clients_[0]->MountRemote(protocol, data_root_, server, data_parent_, options_);
+    if (options_.remote_tmp) {
+      clients_[0]->MountRemote(protocol, "/rtmp", server, tmp_parent, options_);
+      tmp_dir_ = "/rtmp";
+    } else {
+      tmp_dir_ = "/local/tmp";
+    }
     servers_[0]->Start();
+  } else {
+    clients_[0]->MountLocal(data_root_);
+    // In the local configuration /data and /local share the client disk;
+    // the data tree's parent is the local fs root.
+    data_parent_ = data_fs().root();
+    tmp_dir_ = "/local/tmp";
   }
   clients_[0]->Start();
 
@@ -191,24 +165,11 @@ void Rig::BuildFleet() {
     for (int s = 0; s < shards; ++s) {
       net::Address shard_addr = servers_[static_cast<size_t>(s)]->address();
       proto::FileHandle root = data_parents_[static_cast<size_t>(s)];
-      switch (options_.protocol) {
-        case Protocol::kNfs: {
-          // With the metadata tier the cache *is* the server as far as the
-          // NFS client can tell; it routes forwards by the handles' fsid.
-          net::Address target =
-              meta_cache_ != nullptr ? meta_cache_->address() : shard_addr;
-          client.MountNfs(ShardRoot(s), target, root, options_.nfs);
-          break;
-        }
-        case Protocol::kSnfs:
-          client.MountSnfs(ShardRoot(s), shard_addr, root, options_.snfs);
-          break;
-        case Protocol::kNqnfs:
-          client.MountNqnfs(ShardRoot(s), shard_addr, root, options_.nqnfs);
-          break;
-        case Protocol::kLocal:
-          break;  // unreachable, checked above
-      }
+      // With the metadata tier (NFS only) the cache *is* the server as far
+      // as the client can tell; it routes forwards by the handles' fsid.
+      net::Address target = meta_cache_ != nullptr ? meta_cache_->address() : shard_addr;
+      client.MountRemote(ServerProtocolFor(options_.protocol), ShardRoot(s), target, root,
+                         options_);
     }
   }
 

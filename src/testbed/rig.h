@@ -51,12 +51,10 @@ struct FleetOptions {
   bool active() const { return servers > 1 || clients > 1 || meta_cache; }
 };
 
-struct RigOptions {
+// The inherited nfs / snfs / nqnfs members configure the remote clients.
+struct RigOptions : ClientProtocolParams {
   Protocol protocol = Protocol::kLocal;
   bool remote_tmp = false;  // meaningful for kNfs / kSnfs
-  nfs::NfsClientParams nfs;
-  snfs::SnfsClientParams snfs;
-  nqnfs::NqnfsClientParams nqnfs;
   ClientMachineParams client;
   ServerMachineParams server;
   net::NetworkParams network;  // network.faults enables link-fault injection

@@ -13,7 +13,10 @@
 //                       leases via vacates, NFS has no mechanism at all;
 //  crash during dirty   a server crash while a client holds dirty delayed
 //                       writes — afterwards every reader sees exactly the
-//                       old or the new version, never a mix.
+//                       old or the new version, never a mix;
+//  namespace round trip create, list (several readdir pages), rename,
+//                       remove and rmdir through the client — the listing
+//                       matches the server's own, in order.
 //
 // Plus the original property test: random multi-client workloads against an
 // in-memory oracle, serialized by a (simulated) global lock, mirroring the
@@ -22,6 +25,8 @@
 // SNFS and NQNFS must match the oracle on every seed; NFS may go stale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -200,6 +205,106 @@ sim::Task<void> CrashDuringDirtyScenario(World& w, bool* finished) {
   *finished = true;
 }
 
+// --- scenario 5: namespace operations round trip ----------------------------
+
+// Lists `dir` on the server's own file system in one call, for comparison
+// with the client's paged listing.
+sim::Task<std::vector<proto::DirEntry>> ServerListing(World& w, std::string dir) {
+  fs::LocalFs& fs = w.server->fs();
+  auto found = co_await fs.Lookup(fs.root(), dir);
+  EXPECT_TRUE(found.ok());
+  if (!found.ok()) {
+    co_return std::vector<proto::DirEntry>{};
+  }
+  auto listing = co_await fs.ReadDir(found->fh, /*cookie=*/0, /*count=*/1000);
+  EXPECT_TRUE(listing.ok());
+  if (!listing.ok()) {
+    co_return std::vector<proto::DirEntry>{};
+  }
+  EXPECT_TRUE(listing->eof);
+  co_return std::move(listing->entries);
+}
+
+// 150 entries make the client's readdir fetch three 64-entry pages.
+constexpr int kNamespaceEntries = 150;
+
+sim::Task<void> NamespaceRoundTripScenario(World& w, bool* finished) {
+  vfs::Vfs& a = w.client(0).vfs();
+  EXPECT_TRUE((co_await a.MkdirPath("/data/big")).ok());
+  EXPECT_TRUE((co_await a.MkdirPath("/data/other")).ok());
+  for (int i = 0; i < kNamespaceEntries; ++i) {
+    char path[32];
+    std::snprintf(path, sizeof(path), "/data/big/e%03d", i);
+    if (i % 10 == 0) {
+      EXPECT_TRUE((co_await a.MkdirPath(path)).ok());
+    } else {
+      EXPECT_TRUE((co_await a.WriteFile(path, testbed::TestBytes(path))).ok());
+    }
+  }
+
+  auto listed = co_await a.ReadDir("/data/big");
+  EXPECT_TRUE(listed.ok());
+  if (!listed.ok()) {
+    co_return;
+  }
+  std::vector<proto::DirEntry> expected = co_await ServerListing(w, "big");
+  EXPECT_EQ(listed->size(), static_cast<size_t>(kNamespaceEntries));
+  EXPECT_EQ(listed->size(), expected.size());
+  for (size_t i = 0; i < std::min(listed->size(), expected.size()); ++i) {
+    EXPECT_EQ((*listed)[i].name, expected[i].name) << "entry " << i;
+    EXPECT_EQ((*listed)[i].fileid, expected[i].fileid) << "entry " << i;
+  }
+
+  // Rename within the directory and across directories; contents follow.
+  EXPECT_TRUE((co_await a.Rename("/data/big/e001", "/data/big/renamed")).ok());
+  EXPECT_TRUE((co_await a.Rename("/data/big/e002", "/data/other/moved")).ok());
+  EXPECT_TRUE((co_await a.Rename("/data/big/e010", "/data/other/moved_dir")).ok());
+  EXPECT_TRUE((co_await a.Stat("/data/big/e001")).status() == base::ErrNoEnt());
+  EXPECT_TRUE((co_await a.Stat("/data/big/e002")).status() == base::ErrNoEnt());
+  auto renamed = co_await a.ReadFile("/data/big/renamed");
+  EXPECT_TRUE(renamed.ok());
+  if (renamed.ok()) {
+    EXPECT_EQ(testbed::TestStr(*renamed), "/data/big/e001");
+  }
+  auto moved = co_await a.ReadFile("/data/other/moved");
+  EXPECT_TRUE(moved.ok());
+  if (moved.ok()) {
+    EXPECT_EQ(testbed::TestStr(*moved), "/data/big/e002");
+  }
+  std::vector<proto::DirEntry> other = co_await ServerListing(w, "other");
+  EXPECT_EQ(other.size(), 2u);
+
+  // A non-empty directory cannot be removed; the server's error comes back.
+  auto busy = co_await a.RmdirPath("/data/big");
+  EXPECT_TRUE(busy.status() == base::ErrNotEmpty()) << busy.status().name();
+
+  // Empty the directory, then remove it.
+  listed = co_await a.ReadDir("/data/big");
+  EXPECT_TRUE(listed.ok());
+  if (!listed.ok()) {
+    co_return;
+  }
+  EXPECT_EQ(listed->size(), static_cast<size_t>(kNamespaceEntries - 2));
+  for (const proto::DirEntry& entry : *listed) {
+    std::string path = "/data/big/" + entry.name;
+    auto attr = co_await a.Stat(path);
+    EXPECT_TRUE(attr.ok());
+    if (!attr.ok()) {
+      co_return;
+    }
+    if (attr->type == proto::FileType::kDirectory) {
+      EXPECT_TRUE((co_await a.RmdirPath(path)).ok()) << path;
+    } else {
+      EXPECT_TRUE((co_await a.Unlink(path)).ok()) << path;
+    }
+  }
+  EXPECT_TRUE((co_await ServerListing(w, "big")).empty());
+  EXPECT_TRUE((co_await a.RmdirPath("/data/big")).ok());
+  auto gone = co_await a.ReadDir("/data/big");
+  EXPECT_TRUE(gone.status() == base::ErrNoEnt());
+  *finished = true;
+}
+
 class ProtocolConformance : public ::testing::TestWithParam<ServerProtocol> {};
 
 TEST_P(ProtocolConformance, SequentialSharingIsConsistent) {
@@ -266,6 +371,17 @@ TEST_P(ProtocolConformance, CrashDuringDirtyNeverTearsData) {
   MountData(w, 1, GetParam());
   bool finished = false;
   w.simulator.Spawn(CrashDuringDirtyScenario(w, &finished));
+  w.simulator.Run();
+  EXPECT_TRUE(finished);
+  trace_check.Check();
+}
+
+TEST_P(ProtocolConformance, NamespaceOpsRoundTrip) {
+  World w(GetParam(), 1);
+  ScopedTraceCheck trace_check(w.simulator);
+  MountData(w, 0, GetParam());
+  bool finished = false;
+  w.simulator.Spawn(NamespaceRoundTripScenario(w, &finished));
   w.simulator.Run();
   EXPECT_TRUE(finished);
   trace_check.Check();

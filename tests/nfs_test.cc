@@ -345,5 +345,51 @@ TEST(NfsTest, ReadAheadPrefetchesSequentialBlocks) {
   EXPECT_TRUE(done);
 }
 
+TEST(NfsTest, ClientCrashDropsDelayedPartialBlock) {
+  // A delayed partial block lives in kernel memory: it dies with the client
+  // and must not be written out by a close after the restart, over data
+  // another client wrote in between.
+  NfsWorld w;
+  bool done = false;
+  w.simulator.Spawn([](NfsWorld& w, bool& done) -> sim::Task<void> {
+    vfs::Vfs& a = w.client(0).vfs();
+    auto stale_fd = co_await a.Open("/data/f", vfs::OpenFlags::WriteCreate());
+    EXPECT_TRUE(stale_fd.ok());
+    if (!stale_fd.ok()) {
+      co_return;
+    }
+    EXPECT_TRUE((co_await a.Pwrite(*stale_fd, 0, TestBytes("DEAD"))).ok());
+
+    w.client(0).Crash(w.network);
+    co_await sim::Sleep(w.simulator, sim::Sec(1));
+    w.client(0).Restart(w.network);
+
+    EXPECT_TRUE(
+        (co_await w.client(1).vfs().WriteFile("/data/f", TestBytes("after-crash-data"))).ok());
+    auto fd = co_await a.Open("/data/f", vfs::OpenFlags::ReadOnly());
+    EXPECT_TRUE(fd.ok());
+    if (fd.ok()) {
+      EXPECT_TRUE((co_await a.Close(*fd)).ok());
+    }
+    // The descriptor opened before the crash still names the old node.
+    (void)co_await a.Close(*stale_fd);
+    co_await sim::Sleep(w.simulator, sim::Sec(1));
+
+    fs::LocalFs& fs = w.server->fs();
+    auto found = co_await fs.Lookup(fs.root(), "f");
+    EXPECT_TRUE(found.ok());
+    if (found.ok()) {
+      auto got = co_await fs.Read(found->fh, 0, 64);
+      EXPECT_TRUE(got.ok());
+      if (got.ok()) {
+        EXPECT_EQ(TestStr(got->data), "after-crash-data");
+      }
+    }
+    done = true;
+  }(w, done));
+  w.simulator.Run();
+  EXPECT_TRUE(done);
+}
+
 }  // namespace
 }  // namespace nfs

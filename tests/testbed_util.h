@@ -42,17 +42,7 @@ struct World {
 // Mount the server's export on client `i` with the matching protocol client.
 inline void MountData(World& w, int i, ServerProtocol protocol,
                       const std::string& path = "/data") {
-  switch (protocol) {
-    case ServerProtocol::kNfs:
-      w.client(i).MountNfs(path, w.server->address(), w.server->root());
-      break;
-    case ServerProtocol::kSnfs:
-      w.client(i).MountSnfs(path, w.server->address(), w.server->root());
-      break;
-    case ServerProtocol::kNqnfs:
-      w.client(i).MountNqnfs(path, w.server->address(), w.server->root());
-      break;
-  }
+  w.client(i).MountRemote(protocol, path, w.server->address(), w.server->root());
 }
 
 inline std::string ProtocolLabel(ServerProtocol protocol) {
