@@ -14,7 +14,8 @@
 #  5. ASan/UBSan: rebuild under -fsanitize=address,undefined (the `asan`
 #     CMake preset) and run fault_injection_test — the crash/restart and
 #     fault-injection paths are where lifetime bugs (coroutines outliving
-#     peers, use-after-free on restart) would hide.
+#     peers, use-after-free on restart) would hide — plus sim_test, the
+#     simulator kernel's own tests, with leak detection on.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -108,11 +109,15 @@ cmake --preset asan
 # a suspended create/read, lease expiry mid-upgrade): their bugs only show
 # as use-after-free, so they run under the sanitizers too.
 cmake --build build-asan -j --target fault_injection_test rpc_test recovery_test \
-  fs_test hybrid_test nqnfs_test fleet_test
-# Leak detection stays off: coroutine frames still suspended when a Simulator
-# is torn down are reported as leaks. This is a pre-existing, codebase-wide
-# pattern (the seed's sim_test reports the same under ASan); ASan/UBSan still
-# catch use-after-free, heap overflow, and UB with leak checking disabled.
+  fs_test hybrid_test nqnfs_test fleet_test sim_test
+# The simulator kernel owns the event arena, the future/promise shared state
+# and its take-once move-out; its tests leave no coroutine frame suspended at
+# teardown, so they run leak-checked.
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/sim_test
+# Leak detection stays off for the protocol stacks: coroutine frames still
+# suspended when a Simulator is torn down (parked daemons and receive loops)
+# are reported as leaks. ASan/UBSan still catch use-after-free, heap
+# overflow, and UB with leak checking disabled.
 export ASAN_OPTIONS=detect_leaks=0
 ./build-asan/tests/rpc_test
 ./build-asan/tests/recovery_test

@@ -7,6 +7,20 @@
 #include "src/trace/trace.h"
 
 namespace cache {
+namespace {
+
+// Appends block bytes [from, to) to `out`, clipped to what the block holds:
+// a short block (EOF, or a sparse write) may end before `from`.
+void AppendRange(std::vector<uint8_t>& out, const std::vector<uint8_t>& block, uint64_t from,
+                 uint64_t to) {
+  uint64_t avail = std::min<uint64_t>(to, block.size());
+  if (avail > from) {
+    out.insert(out.end(), block.begin() + static_cast<ptrdiff_t>(from),
+               block.begin() + static_cast<ptrdiff_t>(avail));
+  }
+}
+
+}  // namespace
 
 BufferCache::BufferCache(sim::Simulator& simulator, BufferCacheParams params)
     : simulator_(simulator),
@@ -255,7 +269,7 @@ sim::Task<void> BufferCache::EvictIfNeeded() {
         co_await prior;
         continue;
       }
-      std::vector<uint8_t> data = it->second.data;
+      std::vector<uint8_t> data = std::move(it->second.data);
       MarkClean(victim, it->second);
       lru_.erase(it->second.lru_it);
       entries_.erase(it);
@@ -338,19 +352,12 @@ sim::Task<base::Result<std::vector<uint8_t>>> BufferCache::Read(int mount, uint6
         if (!direct.ok()) {
           co_return direct.status();
         }
-        const std::vector<uint8_t>& data = *direct;
-        uint64_t avail = std::min<uint64_t>(want_to, data.size());
-        for (uint64_t i = want_from; i < avail; ++i) {
-          out.push_back(data[i]);
-        }
+        AppendRange(out, *direct, want_from, want_to);
         continue;
       }
       Touch(*entry, key);
     }
-    uint64_t avail = std::min<uint64_t>(want_to, entry->data.size());
-    for (uint64_t i = want_from; i < avail; ++i) {
-      out.push_back(entry->data[i]);
-    }
+    AppendRange(out, entry->data, want_from, want_to);
   }
 
   if (read_ahead) {

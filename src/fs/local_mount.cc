@@ -28,7 +28,7 @@ LocalMount::LocalMount(sim::Simulator& simulator, LocalFs& fs, cache::BufferCach
     if (it == nodes_.end()) {
       co_return base::ErrStale();  // deleted before the delayed write ran
     }
-    auto rep = co_await fs_.Write(it->second->fh, block * kBlockSize, data,
+    auto rep = co_await fs_.Write(it->second->fh, block * kBlockSize, std::move(data),
                                   LocalFs::WriteMode::kFlush);
     if (!rep.ok()) {
       co_return rep.status();
@@ -124,11 +124,11 @@ sim::Task<base::Result<std::vector<uint8_t>>> LocalMount::Read(vfs::GnodeRef nod
 
 sim::Task<base::Result<void>> LocalMount::Write(vfs::GnodeRef node, uint64_t offset,
                                                 std::vector<uint8_t> data) {
-  co_await Charge(costs_.per_op +
-                  costs_.per_block * static_cast<int64_t>(1 + data.size() / kBlockSize));
-  CO_RETURN_IF_ERROR(
-      co_await cache_.WriteDelayed(mount_id_, node->fh.fileid, offset, data, node->attr.size));
-  node->attr.size = std::max<uint64_t>(node->attr.size, offset + data.size());
+  uint64_t size = data.size();
+  co_await Charge(costs_.per_op + costs_.per_block * static_cast<int64_t>(1 + size / kBlockSize));
+  CO_RETURN_IF_ERROR(co_await cache_.WriteDelayed(mount_id_, node->fh.fileid, offset,
+                                                  std::move(data), node->attr.size));
+  node->attr.size = std::max<uint64_t>(node->attr.size, offset + size);
   node->attr.mtime = simulator_.Now();
   co_return base::OkStatus();
 }

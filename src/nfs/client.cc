@@ -201,6 +201,10 @@ sim::Task<base::Result<void>> NfsClient::Write(vfs::GnodeRef gnode, uint64_t off
       have_partial = false;
     }
 
+    // Either way the client cache holds the new data for its own reads.
+    // Cache it first, so the segment itself can move on below.
+    cache_.InsertClean(mount_id_, node->fh.fileid, seg_from, segment);
+
     bool reaches_block_end = seg_to == block_start + kBlockSize;
     if (params_.delay_partial_writes && !reaches_block_end) {
       // Delay: stash the (possibly extended) partial buffer.
@@ -208,11 +212,11 @@ sim::Task<base::Result<void>> NfsClient::Write(vfs::GnodeRef gnode, uint64_t off
         auto& buf = node->partial[b];
         buf.insert(buf.end(), segment.begin(), segment.end());
       } else if (seg_from == block_start) {
-        node->partial[b] = segment;
+        node->partial[b] = std::move(segment);
       } else {
         // Partial not starting at block head and no buffered prefix: write
         // through immediately (cannot buffer a hole).
-        SpawnAsyncWrite(node, seg_from, segment);
+        SpawnAsyncWrite(node, seg_from, std::move(segment));
       }
     } else {
       if (contiguous && have_partial) {
@@ -221,11 +225,9 @@ sim::Task<base::Result<void>> NfsClient::Write(vfs::GnodeRef gnode, uint64_t off
         buf.insert(buf.end(), segment.begin(), segment.end());
         SpawnAsyncWrite(node, block_start, std::move(buf));
       } else {
-        SpawnAsyncWrite(node, seg_from, segment);
+        SpawnAsyncWrite(node, seg_from, std::move(segment));
       }
     }
-    // Either way the client cache holds the new data for its own reads.
-    cache_.InsertClean(mount_id_, node->fh.fileid, seg_from, segment);
   }
   node->attr.size = std::max(node->attr.size, end);
   node->attr.mtime = simulator_.Now();

@@ -126,7 +126,9 @@ sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Reques
       promise.TrySet(proto::ErrorReply(base::ErrTimedOut()));
     });
 
-    proto::Reply reply = co_await promise.GetFuture();
+    // Sole consumer of this attempt's promise: take the reply rather than
+    // copy it, so the state the timeout closure keeps alive holds no payload.
+    proto::Reply reply = co_await promise.GetFuture().Take();
     if (reply.status != base::ErrTimedOut()) {
       pending_.erase(xid);
       co_await cpu_.Run(PayloadCost(proto::WireSize(reply)));

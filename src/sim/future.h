@@ -6,6 +6,10 @@
 // loser's value is discarded.
 //
 // Future and Promise share state via shared_ptr and are freely copyable.
+// Awaiting a Future copies the value out, so several waiters can share one
+// result. A single consumer awaits `future.Take()` instead, which moves the
+// value out and leaves the state spent: still set (a racing TrySet loses),
+// but a second Take, or any later await, CHECK-fails.
 #ifndef SRC_SIM_FUTURE_H_
 #define SRC_SIM_FUTURE_H_
 
@@ -54,6 +58,7 @@ class Promise {
     explicit State(Simulator& s) : simulator(s) {}
     Simulator& simulator;
     std::optional<T> value;
+    bool taken = false;  // value moved out by a Take; the state is spent
     std::vector<std::coroutine_handle<>> waiters;
   };
 
@@ -67,10 +72,22 @@ class [[nodiscard]] Future {
 
   bool await_ready() const noexcept { return state_->value.has_value(); }
   void await_suspend(std::coroutine_handle<> h) { state_->waiters.push_back(h); }
-  // Futures can be awaited by several coroutines; each gets a copy.
+  // Futures can be awaited by several coroutines; each gets a copy, unless
+  // this Future came from Take().
   T await_resume() {
     CHECK(state_->value.has_value());
+    CHECK(!state_->taken);
+    if (take_) {
+      state_->taken = true;
+      return std::move(*state_->value);
+    }
     return *state_->value;
+  }
+
+  // Single-consumer await: `co_await future.Take()` moves the value out.
+  Future Take() && {
+    take_ = true;
+    return std::move(*this);
   }
 
   bool IsSet() const { return state_->value.has_value(); }
@@ -80,6 +97,7 @@ class [[nodiscard]] Future {
   explicit Future(std::shared_ptr<typename Promise<T>::State> s) : state_(std::move(s)) {}
 
   std::shared_ptr<typename Promise<T>::State> state_;
+  bool take_ = false;
 };
 
 }  // namespace sim

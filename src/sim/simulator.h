@@ -159,8 +159,14 @@ class Simulator {
   uint64_t bitmap_[kBitmapWords] = {};
   size_t wheel_count_ = 0;
 
-  // Far heap: node pointers ordered by (at, seq), min at front.
-  std::vector<EventNode*> far_;
+  // Far heap ordered by (at, seq), min at front. The keys sit inline so a
+  // sift compares adjacent entries instead of dereferencing scattered nodes.
+  struct FarEntry {
+    Time at;
+    uint64_t seq;
+    EventNode* node;
+  };
+  std::vector<FarEntry> far_;
 
   // Node arena: fixed-size chunks, recycled through an intrusive free list.
   std::vector<std::unique_ptr<EventNode[]>> chunks_;

@@ -33,8 +33,8 @@ SnfsServer::SnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& pe
       params_(params),
       table_(StateTableParams{params.max_state_entries}),
       callback_budget_(simulator, params.callback_budget) {
-  peer_.set_handler([this](const proto::Request& request, net::Address from) {
-    return Handle(request, from);
+  peer_.set_handler([this](proto::Request request, net::Address from) {
+    return Handle(std::move(request), from);
   });
 }
 
@@ -234,10 +234,11 @@ sim::Task<proto::Reply> SnfsServer::HandleData(proto::Request request, net::Addr
       co_return FromResult(co_await fs_.Read(req.fh, req.offset, req.count));
     }
     case proto::OpKind::kWrite: {
-      const auto& req = std::get<proto::WriteReq>(request);
+      auto& req = std::get<proto::WriteReq>(request);
       // Client write-backs are synchronous with the disk at the server
       // ("writes are always synchronous with the disk at the server").
-      auto attr = co_await fs_.Write(req.fh, req.offset, req.data, fs::LocalFs::WriteMode::kSync);
+      auto attr = co_await fs_.Write(req.fh, req.offset, std::move(req.data),
+                                     fs::LocalFs::WriteMode::kSync);
       if (!attr.ok()) {
         co_return proto::ErrorReply(attr.status());
       }
@@ -295,7 +296,7 @@ sim::Task<proto::Reply> SnfsServer::Handle(proto::Request request, net::Address 
       co_return proto::OkReply(rep);
     }
     default:
-      co_return co_await HandleData(request, from);
+      co_return co_await HandleData(std::move(request), from);
   }
 }
 

@@ -258,7 +258,7 @@ sim::Task<base::Result<void>> Vfs::WriteFile(std::string path,
     uint64_t n = std::min<uint64_t>(chunk, data.size() - offset);
     std::vector<uint8_t> slice(data.begin() + static_cast<int64_t>(offset),
                                data.begin() + static_cast<int64_t>(offset + n));
-    auto written = co_await Write(fd, slice);
+    auto written = co_await Write(fd, std::move(slice));
     if (!written.ok()) {
       (void)co_await Close(fd);
       co_return written.status();

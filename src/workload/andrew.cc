@@ -91,8 +91,8 @@ sim::Task<base::Result<uint64_t>> PhaseCopy(vfs::Vfs& vfs, sim::Cpu& cpu,
     co_await cpu.Run(config.cpu.copy_per_file);
     CO_ASSIGN_OR_RETURN(std::vector<uint8_t> data,
                         co_await vfs.ReadFile(config.src_root + name));
-    CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.target_root + name, data));
     bytes += data.size();
+    CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.target_root + name, std::move(data)));
   }
   for (int d = 0; d < config.shape.dirs; ++d) {
     for (int f = 0; f < config.shape.files_per_dir; ++f) {
@@ -100,8 +100,8 @@ sim::Task<base::Result<uint64_t>> PhaseCopy(vfs::Vfs& vfs, sim::Cpu& cpu,
       co_await cpu.Run(config.cpu.copy_per_file);
       CO_ASSIGN_OR_RETURN(std::vector<uint8_t> data,
                           co_await vfs.ReadFile(config.src_root + name));
-      CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.target_root + name, data));
       bytes += data.size();
+      CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.target_root + name, std::move(data)));
     }
   }
   co_return bytes;
@@ -178,7 +178,7 @@ sim::Task<base::Result<uint64_t>> CompileOne(sim::Simulator& simulator, vfs::Vfs
   for (size_t i = 0; i < temp.size(); ++i) {
     temp[i] = static_cast<uint8_t>(i * 7);
   }
-  CO_RETURN_IF_ERROR(co_await vfs.WriteFile(tmp_path, temp));
+  CO_RETURN_IF_ERROR(co_await vfs.WriteFile(tmp_path, std::move(temp)));
 
   // Compile proper (cost follows the source, not the expanded temporary).
   co_await cpu.Run(config.cpu.compile_base +
@@ -193,11 +193,12 @@ sim::Task<base::Result<uint64_t>> CompileOne(sim::Simulator& simulator, vfs::Vfs
     object[i] = static_cast<uint8_t>(i * 13);
   }
   std::string obj_path = config.target_root + "/" + DirName(d) + "/" + ObjectName(f);
-  CO_RETURN_IF_ERROR(co_await vfs.WriteFile(obj_path, object));
+  uint64_t object_size = object.size();
+  CO_RETURN_IF_ERROR(co_await vfs.WriteFile(obj_path, std::move(object)));
 
   // The temporary dies young — the delete-before-writeback opportunity.
   CO_RETURN_IF_ERROR(co_await vfs.Unlink(tmp_path));
-  co_return static_cast<uint64_t>(object.size());
+  co_return object_size;
 }
 
 // Phase 5: compile every source file, then link the objects.
@@ -228,7 +229,7 @@ sim::Task<base::Result<uint64_t>> PhaseMake(sim::Simulator& simulator, vfs::Vfs&
   for (size_t i = 0; i < binary.size(); ++i) {
     binary[i] = static_cast<uint8_t>(i);
   }
-  CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.target_root + "/a.out", binary));
+  CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.target_root + "/a.out", std::move(binary)));
   co_return compiled;
 }
 

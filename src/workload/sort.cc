@@ -123,8 +123,8 @@ sim::Task<base::Result<SortReport>> RunSort(sim::Simulator& simulator, vfs::Vfs&
     co_await cpu.Run(config.cpu.per_record_sort * static_cast<int64_t>(nrec));
 
     std::string run = RunName(config.tmp_dir, 0, runs.size());
-    CO_RETURN_IF_ERROR(co_await vfs.WriteFile(run, sorted));
     report.temp_bytes_written += sorted.size();
+    CO_RETURN_IF_ERROR(co_await vfs.WriteFile(run, std::move(sorted)));
     runs.push_back(std::move(run));
   }
   CO_RETURN_IF_ERROR(co_await vfs.Close(in_fd));
@@ -214,7 +214,7 @@ sim::Task<base::Result<SortReport>> RunSort(sim::Simulator& simulator, vfs::Vfs&
   if (runs.size() == 1) {
     // Single run: it IS the sorted output; "rename" by copy + delete.
     CO_ASSIGN_OR_RETURN(std::vector<uint8_t> data, co_await vfs.ReadFile(runs[0]));
-    CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.output_path, data));
+    CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.output_path, std::move(data)));
     CO_RETURN_IF_ERROR(co_await vfs.Unlink(runs[0]));
   }
 

@@ -3,6 +3,7 @@
 // writes), exercised through the VFS syscall layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -604,6 +605,102 @@ TEST(BufferCacheTest, CancelDirtyDropsWithoutStore) {
   }(cache, mount));
   simulator.Run();
   EXPECT_EQ(stores, 0);
+}
+
+// Sub-block reads through BufferCache::Read, checked byte for byte against
+// the reference file: two full blocks and a short EOF block, served to the
+// cache block by block the way LocalMount serves it.
+struct SubBlockRig {
+  static constexpr uint64_t kFileSize = 2 * cache::kBlockSize + 1000;
+
+  sim::Simulator simulator;
+  cache::BufferCache cache{simulator, cache::BufferCacheParams{.enable_sync_daemon = false}};
+  std::vector<uint8_t> file = Pattern(kFileSize);
+  int mount = -1;
+
+  SubBlockRig() {
+    cache::Backing backing;
+    backing.fetch = [file = file](uint64_t,
+                                  uint64_t block) -> sim::Task<base::Result<std::vector<uint8_t>>> {
+      uint64_t from = std::min<uint64_t>(file.size(), block * cache::kBlockSize);
+      uint64_t to = std::min<uint64_t>(file.size(), from + cache::kBlockSize);
+      co_return std::vector<uint8_t>(file.begin() + static_cast<int64_t>(from),
+                                     file.begin() + static_cast<int64_t>(to));
+    };
+    backing.store = [](uint64_t, uint64_t, std::vector<uint8_t>) -> sim::Task<base::Result<void>> {
+      co_return base::OkStatus();
+    };
+    mount = cache.RegisterMount(std::move(backing));
+  }
+
+  // Reads [offset, offset + count) of file 1, believed to be `file_size`
+  // bytes long, to completion.
+  std::vector<uint8_t> Read(uint64_t offset, uint32_t count, uint64_t file_size = kFileSize) {
+    std::vector<uint8_t> out;
+    bool completed = false;
+    simulator.Spawn([](cache::BufferCache& cache, int mount, uint64_t offset, uint32_t count,
+                       uint64_t file_size, std::vector<uint8_t>& out,
+                       bool& completed) -> sim::Task<void> {
+      auto r = co_await cache.Read(mount, 1, offset, count, file_size, /*read_ahead=*/false);
+      EXPECT_TRUE(r.ok());
+      if (r.ok()) {
+        out = std::move(*r);
+      }
+      completed = true;
+    }(cache, mount, offset, count, file_size, out, completed));
+    simulator.Run();
+    EXPECT_TRUE(completed);
+    return out;
+  }
+
+  std::vector<uint8_t> Slice(uint64_t from, uint64_t to) const {
+    return {file.begin() + static_cast<int64_t>(from), file.begin() + static_cast<int64_t>(to)};
+  }
+};
+
+TEST(BufferCacheTest, ReadWithinOneBlockIsByteExact) {
+  SubBlockRig rig;
+  uint64_t middle = cache::kBlockSize;
+  EXPECT_EQ(rig.Read(100, 200), rig.Slice(100, 300));
+  EXPECT_EQ(rig.Read(middle + 7, 93), rig.Slice(middle + 7, middle + 100));
+  // Again from the now-cached first block.
+  EXPECT_EQ(rig.Read(150, 10), rig.Slice(150, 160));
+  EXPECT_EQ(rig.cache.stats().hits, 1u);
+}
+
+TEST(BufferCacheTest, ReadAcrossThreeBlocksEndsAtShortEofBlock) {
+  SubBlockRig rig;
+  // Starts 96 bytes before the first boundary and asks for far more than
+  // the file holds: the result stops at EOF inside the short last block.
+  uint64_t offset = cache::kBlockSize - 96;
+  EXPECT_EQ(rig.Read(offset, 4 * cache::kBlockSize), rig.Slice(offset, SubBlockRig::kFileSize));
+  // Warm: the same read served entirely from the cache.
+  EXPECT_EQ(rig.Read(offset, 4 * cache::kBlockSize), rig.Slice(offset, SubBlockRig::kFileSize));
+  EXPECT_EQ(rig.cache.stats().hits, 3u);
+}
+
+TEST(BufferCacheTest, ReadStartingPastAShortCachedBlockReturnsNothing) {
+  SubBlockRig rig;
+  uint64_t last_block = 2 * cache::kBlockSize;
+  // Dirty a short last block: the write fetches the 1000 EOF bytes and
+  // appends 24, so the cached block holds 1024 bytes.
+  bool written = false;
+  rig.simulator.Spawn([](cache::BufferCache& cache, int mount, uint64_t at,
+                         bool& written) -> sim::Task<void> {
+    EXPECT_TRUE(
+        (co_await cache.WriteDelayed(mount, 1, at, std::vector<uint8_t>(24, 0xEE), at)).ok());
+    written = true;
+  }(rig.cache, rig.mount, SubBlockRig::kFileSize, written));
+  rig.simulator.Run();
+  ASSERT_TRUE(written);
+  // A caller that believes the file is longer reads from past the end of
+  // the dirty block: it is used as is (dirty wins), and holds nothing there.
+  EXPECT_EQ(rig.Read(last_block + 1500, 100, last_block + 2000), std::vector<uint8_t>());
+  // A read that starts in the middle block runs on into the short block
+  // and stops where the block's bytes end.
+  std::vector<uint8_t> expected = rig.Slice(last_block - 10, SubBlockRig::kFileSize);
+  expected.insert(expected.end(), 24, 0xEE);
+  EXPECT_EQ(rig.Read(last_block - 10, 3000, last_block + 2000), expected);
 }
 
 }  // namespace

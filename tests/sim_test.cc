@@ -186,6 +186,77 @@ TEST(FutureTest, TrySetIsIdempotent) {
   EXPECT_EQ(got, 1);
 }
 
+// Counts its copies into a shared counter; moves are free and keep the
+// counter pointer.
+struct CopyCounted {
+  int* copies = nullptr;
+  int value = 0;
+
+  CopyCounted(int* c, int v) : copies(c), value(v) {}
+  CopyCounted(const CopyCounted& other) : copies(other.copies), value(other.value) {
+    ++*copies;
+  }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+};
+
+TEST(FutureTest, TakeMovesTheValueOutWithoutCopying) {
+  Simulator s;
+  int copies = 0;
+  Promise<CopyCounted> p(s);
+  int got = 0;
+  // The taker parks first, as Peer::Call does, and the value arrives later.
+  s.Spawn([](Promise<CopyCounted> p, int& got) -> Task<void> {
+    CopyCounted v = co_await p.GetFuture().Take();
+    got = v.value;
+  }(p, got));
+  s.Schedule(Msec(1), [&] { p.Set(CopyCounted(&copies, 7)); });
+  s.Run();
+  EXPECT_EQ(got, 7);
+  EXPECT_EQ(copies, 0);
+  // A timeout racing the reply still loses: the taken state stays set.
+  EXPECT_TRUE(p.IsSet());
+  EXPECT_FALSE(p.TrySet(CopyCounted(&copies, 99)));
+  EXPECT_EQ(copies, 0);
+}
+
+TEST(FutureTest, SharedWaitersEachGetOneCopy) {
+  Simulator s;
+  int copies = 0;
+  Promise<CopyCounted> p(s);
+  std::vector<int> got;
+  for (int i = 0; i < 2; ++i) {
+    s.Spawn([](Promise<CopyCounted> p, std::vector<int>& got) -> Task<void> {
+      CopyCounted v = co_await p.GetFuture();
+      got.push_back(v.value);
+    }(p, got));
+  }
+  s.Schedule(Msec(1), [&] { p.Set(CopyCounted(&copies, 5)); });
+  s.Run();
+  EXPECT_EQ(got, (std::vector<int>{5, 5}));
+  EXPECT_EQ(copies, 2);
+}
+
+void TakeThen(bool second_is_take) {
+  Simulator s;
+  Promise<int> p(s);
+  p.Set(1);
+  s.Spawn([](Promise<int> p, bool second_is_take) -> Task<void> {
+    (void)co_await p.GetFuture().Take();
+    if (second_is_take) {
+      (void)co_await p.GetFuture().Take();
+    } else {
+      (void)co_await p.GetFuture();
+    }
+  }(p, second_is_take));
+  s.Run();
+}
+
+TEST(FutureDeathTest, AwaitAfterTakeFails) {
+  EXPECT_DEATH(TakeThen(/*second_is_take=*/true), "CHECK failed.*taken");
+  EXPECT_DEATH(TakeThen(/*second_is_take=*/false), "CHECK failed.*taken");
+}
+
 TEST(MutexTest, MutualExclusionAndFifo) {
   Simulator s;
   Mutex m(s);
