@@ -18,8 +18,9 @@
 //                              their client-side consistency state makes
 //                              the cache tier unnecessary (no per-open
 //                              probes to absorb).
-//   4. Fault sweep             one-shard crash + reboot mid-hotset, and a
-//                              meta-cache network partition, each with a
+//   4. Fault sweep             one-shard crash + reboot mid-hotset, and the
+//                              metadata cache's host taken down and back
+//                              up, each a fault::FaultSchedule with a
 //                              writer in the mix; the causal trace must
 //                              pass trace::CheckTrace with no violations.
 //
@@ -72,7 +73,6 @@ FleetFlags ParseFleetFlags(int argc, char** argv) {
 }
 
 enum class FleetWork { kHotset, kBootStorm };
-enum class FleetFault { kNone, kShardCrash, kCachePartition };
 
 struct FleetBenchConfig {
   Protocol protocol = Protocol::kNfs;
@@ -83,10 +83,8 @@ struct FleetBenchConfig {
   int ops_per_client = 400;  // hotset only
   workload::FleetTreeShape shape;
   bool trace_on = false;
-  // Fault script: one shard crash + reboot, or a meta-cache partition.
-  FleetFault fault = FleetFault::kNone;
-  sim::Duration fault_at = sim::Sec(1);
-  sim::Duration fault_duration = sim::Sec(2);
+  // Crash script, timed from the end of population.
+  fault::FaultSchedule faults;
   int mutator_writes = 0;  // periodic writes to the hottest file
 };
 
@@ -155,30 +153,18 @@ FleetRunStats RunFleet(const FleetBenchConfig& config) {
     server_before[static_cast<size_t>(s)] = rig.shard(s).peer().server_ops();
   }
 
-  bool check_trace = config.fault != FleetFault::kNone;
+  bool check_trace = !config.faults.empty();
   std::unique_ptr<trace::Recorder> recorder;
   if (config.trace_on || check_trace) {
     recorder = std::make_unique<trace::Recorder>(rig.simulator());
     trace::SetActive(recorder.get());
   }
 
-  // Fault script. The crash target is shard 1 (never the shard the writer
-  // mutates); the partition target is the cache itself.
-  if (config.fault == FleetFault::kShardCrash) {
-    rig.simulator().Spawn([](Rig& rig, const FleetBenchConfig& config) -> sim::Task<void> {
-      co_await sim::Sleep(rig.simulator(), config.fault_at);
-      rig.shard(1).Crash(rig.network());
-      co_await sim::Sleep(rig.simulator(), config.fault_duration);
-      rig.shard(1).Reboot(rig.network());
-    }(rig, config));
-  } else if (config.fault == FleetFault::kCachePartition) {
-    rig.simulator().Spawn([](Rig& rig, const FleetBenchConfig& config) -> sim::Task<void> {
-      co_await sim::Sleep(rig.simulator(), config.fault_at);
-      rig.network().SetHostUp(rig.meta_cache()->address(), false);
-      co_await sim::Sleep(rig.simulator(), config.fault_duration);
-      rig.network().SetHostUp(rig.meta_cache()->address(), true);
-    }(rig, config));
+  fault::FaultSchedule faults = config.faults;
+  for (fault::FaultEvent& ev : faults.events) {
+    ev.at += rig.simulator().Now();
   }
+  rig.ApplyFaultSchedule(faults);
 
   // Optional writer: periodic whole-file rewrites of the hottest file, so
   // the fault runs exercise the stale-read rule (mutations race with the
@@ -482,15 +468,16 @@ int main(int argc, char** argv) {
 
   // --- 4. Fault sweep -------------------------------------------------------
   std::printf("\nFleet fault sweep (trace-checked)\n");
+  sim::Time fault_at = flags.smoke ? sim::Msec(300) : sim::Sec(1);
+  sim::Time fault_end = fault_at + (flags.smoke ? sim::Msec(600) : sim::Sec(2));
   {
     FleetBenchConfig config;
     config.shards = 2;
     config.clients = 4;
     config.ops_per_client = flags.smoke ? 150 : 600;
     config.shape = shape;
-    config.fault = FleetFault::kShardCrash;
-    config.fault_at = flags.smoke ? sim::Msec(300) : sim::Sec(1);
-    config.fault_duration = flags.smoke ? sim::Msec(600) : sim::Sec(2);
+    // Shard 1: never the shard the writer mutates.
+    config.faults.CrashServerAt(fault_at, 1).RebootServerAt(fault_end, 1);
     config.mutator_writes = flags.smoke ? 10 : 30;
     FleetRunStats s = RunFleet(config);
     ReportViolations("shard-crash", s);
@@ -503,9 +490,7 @@ int main(int argc, char** argv) {
     config.cache = true;
     config.ops_per_client = flags.smoke ? 150 : 600;
     config.shape = shape;
-    config.fault = FleetFault::kCachePartition;
-    config.fault_at = flags.smoke ? sim::Msec(300) : sim::Sec(1);
-    config.fault_duration = flags.smoke ? sim::Msec(600) : sim::Sec(2);
+    config.faults.CacheDownAt(fault_at).CacheUpAt(fault_end);
     config.mutator_writes = flags.smoke ? 10 : 30;
     FleetRunStats s = RunFleet(config);
     ReportViolations("cache-partition", s);

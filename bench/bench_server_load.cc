@@ -54,13 +54,13 @@ LoadTrace RunTrace(Protocol protocol) {
 
   // Sampler daemon: every window, record utilization and rates.
   rig.simulator().Spawn([](Rig& rig, LoadTrace& trace, bool& done) -> sim::Task<void> {
-    sim::Duration last_busy = rig.server()->cpu().busy_time();
-    metrics::OpCounters last_ops = rig.server()->peer().server_ops();
+    sim::Duration last_busy = rig.shard(0).cpu().busy_time();
+    metrics::OpCounters last_ops = rig.shard(0).peer().server_ops();
     while (!done) {
       co_await sim::Sleep(rig.simulator(), kWindow, /*background=*/true);
       sim::Time now = rig.simulator().Now();
-      sim::Duration busy = rig.server()->cpu().busy_time();
-      metrics::OpCounters ops = rig.server()->peer().server_ops();
+      sim::Duration busy = rig.shard(0).cpu().busy_time();
+      metrics::OpCounters ops = rig.shard(0).peer().server_ops();
       metrics::OpCounters delta = ops.Diff(last_ops);
       double seconds = sim::ToSeconds(kWindow);
       trace.utilization.Push(now, sim::ToSeconds(busy - last_busy) / seconds);
@@ -74,12 +74,12 @@ LoadTrace RunTrace(Protocol protocol) {
 
   rig.simulator().Spawn([](Rig& rig, workload::AndrewConfig config, LoadTrace& trace,
                            bool& done) -> sim::Task<void> {
-    sim::Duration busy0 = rig.server()->cpu().busy_time();
+    sim::Duration busy0 = rig.shard(0).cpu().busy_time();
     auto report = co_await workload::RunAndrew(rig.simulator(), rig.client().vfs(),
                                                rig.client().cpu(), config);
     CHECK(report.ok());
     trace.elapsed = report->total;
-    trace.cpu_integral = rig.server()->cpu().busy_time() - busy0;
+    trace.cpu_integral = rig.shard(0).cpu().busy_time() - busy0;
     done = true;
   }(rig, config, trace, done));
   rig.simulator().Run();

@@ -67,7 +67,7 @@ AndrewRun RunAndrewConfig(Protocol protocol, bool remote_tmp, RigOptions options
     metrics::OpCounters before = rig.client_rpcs();
     uint64_t disk_w = rig.served_disk().writes();
     uint64_t disk_r = rig.served_disk().reads();
-    sim::Duration cpu0 = rig.server() != nullptr ? rig.server()->cpu().busy_time() : 0;
+    sim::Duration cpu0 = rig.num_shards() > 0 ? rig.shard(0).cpu().busy_time() : 0;
 
     // Fresh recorder per trial so the reported (last) trial's trace is not
     // diluted by warm-up trials. Recording never schedules simulator events,
@@ -96,7 +96,7 @@ AndrewRun RunAndrewConfig(Protocol protocol, bool remote_tmp, RigOptions options
     run.rpcs = rig.client_rpcs().Diff(before);
     run.server_disk_writes = rig.served_disk().writes() - disk_w;
     run.server_disk_reads = rig.served_disk().reads() - disk_r;
-    run.server_cpu_busy = rig.server() != nullptr ? rig.server()->cpu().busy_time() - cpu0 : 0;
+    run.server_cpu_busy = rig.num_shards() > 0 ? rig.shard(0).cpu().busy_time() - cpu0 : 0;
     run.wall = run.report.total;
   }
   return run;

@@ -15,7 +15,9 @@
 #     CMake preset) and run fault_injection_test — the crash/restart and
 #     fault-injection paths are where lifetime bugs (coroutines outliving
 #     peers, use-after-free on restart) would hide — plus sim_test, the
-#     simulator kernel's own tests, with leak detection on.
+#     simulator kernel's own tests, with leak detection on, and fleet_test
+#     and workload_test, which build the rig as a fleet and as the classic
+#     single-server layout.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,7 +60,7 @@ echo "== simperf smoke: simulator hot path still runs all four loads =="
 
 echo "== fleet smoke: sharded rig, metadata tier, trace-checked fault seeds =="
 # Scaled-down hotset/boot-storm sweeps plus the fleet fault seeds
-# (shard crash, cache partition) with the shard-aware stale-read checker;
+# (shard crash, cache down) with the shard-aware stale-read checker;
 # any trace violation aborts the run. Budgeted like snfslint: the smoke
 # sweep is part of the edit loop and must stay in the 10s class.
 fleet_start_ns=$(date +%s%N)
@@ -87,6 +89,11 @@ diff <(grep -v '^wrote ' bench/baselines/bench_andrew_stdout.txt) \
      <(grep -v '^wrote ' "$baseline_tmp/andrew_stdout.txt")
 diff <(grep -v '^wrote ' bench/baselines/bench_sort_stdout.txt) \
      <(grep -v '^wrote ' "$baseline_tmp/sort_stdout.txt")
+# The full-size fleet sweep (scaling, metadata tier, protocol rows, and the
+# FaultSchedule-driven shard-crash and cache-down rows) is deterministic
+# too: its JSON must match the checked-in snapshot byte for byte.
+./build/bench/bench_fleet --json="$baseline_tmp/fleet.json" >/dev/null
+diff BENCH_fleet.json "$baseline_tmp/fleet.json"
 
 echo "== snfsbench selftest: same-seed fingerprints and the correctness gate =="
 # The benchmark's own test: builds its binary (into $CARGO_TARGET_DIR/snfsbench,
@@ -109,7 +116,7 @@ cmake --preset asan
 # a suspended create/read, lease expiry mid-upgrade): their bugs only show
 # as use-after-free, so they run under the sanitizers too.
 cmake --build build-asan -j --target fault_injection_test rpc_test recovery_test \
-  fs_test hybrid_test nqnfs_test fleet_test sim_test
+  fs_test hybrid_test nqnfs_test fleet_test workload_test sim_test
 # The simulator kernel owns the event arena, the future/promise shared state
 # and its take-once move-out; its tests leave no coroutine frame suspended at
 # teardown, so they run leak-checked.
@@ -131,5 +138,8 @@ export ASAN_OPTIONS=detect_leaks=0
 # handler coroutines joining another request's future are exactly where a
 # frame-lifetime bug would surface as use-after-free.
 ./build-asan/tests/fleet_test
+# Rig has one build path for both layouts: fleet_test drives it as a fleet,
+# workload_test as the classic local/NFS/SNFS rig.
+./build-asan/tests/workload_test
 
 echo "All checks passed."

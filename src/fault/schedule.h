@@ -1,8 +1,9 @@
 // FaultSchedule: a declarative script of crash/restart points for the
 // machines in a testbed, at exact simulated times. The schedule itself is
 // pure data (so it can live below the testbed in the dependency graph);
-// testbed::Rig and the fault sweep driver interpret it against real
-// machines, including "crash mid-RPC-handler" via rpc::Peer's worker hook.
+// testbed::ApplyFaultSchedule interprets it against real machines — any
+// shard of a fleet, any client, the metadata cache — including "crash
+// mid-RPC-handler" via rpc::Peer's worker hook.
 #ifndef SRC_FAULT_SCHEDULE_H_
 #define SRC_FAULT_SCHEDULE_H_
 
@@ -20,12 +21,14 @@ enum class FaultEventKind : uint8_t {
   kRestartClient,         // client host up, daemons restarted
   kCrashServerInHandler,  // crash the server from inside the next RPC
                           // handler dispatched at/after `at` (worker hook)
+  kCacheDown,             // metadata-cache host off the network
+  kCacheUp,               // metadata-cache host back on the network
 };
 
 struct FaultEvent {
   sim::Time at = 0;
   FaultEventKind kind = FaultEventKind::kCrashServer;
-  int client = 0;  // which client machine, for the client events
+  int target = 0;  // shard index for server events, client index for client events
 };
 
 struct FaultSchedule {
@@ -34,28 +37,31 @@ struct FaultSchedule {
   // Builder-style helpers so schedules read as scripts:
   //   FaultSchedule s;
   //   s.CrashServerAt(sim::Sec(3)).RebootServerAt(sim::Sec(5));
-  FaultSchedule& CrashServerAt(sim::Time at) {
-    events.push_back({at, FaultEventKind::kCrashServer, 0});
-    return *this;
+  FaultSchedule& CrashServerAt(sim::Time at, int shard = 0) {
+    return Add(at, FaultEventKind::kCrashServer, shard);
   }
-  FaultSchedule& RebootServerAt(sim::Time at) {
-    events.push_back({at, FaultEventKind::kRebootServer, 0});
-    return *this;
+  FaultSchedule& RebootServerAt(sim::Time at, int shard = 0) {
+    return Add(at, FaultEventKind::kRebootServer, shard);
   }
   FaultSchedule& CrashClientAt(sim::Time at, int client = 0) {
-    events.push_back({at, FaultEventKind::kCrashClient, client});
-    return *this;
+    return Add(at, FaultEventKind::kCrashClient, client);
   }
   FaultSchedule& RestartClientAt(sim::Time at, int client = 0) {
-    events.push_back({at, FaultEventKind::kRestartClient, client});
-    return *this;
+    return Add(at, FaultEventKind::kRestartClient, client);
   }
-  FaultSchedule& CrashServerInHandlerAt(sim::Time at) {
-    events.push_back({at, FaultEventKind::kCrashServerInHandler, 0});
-    return *this;
+  FaultSchedule& CrashServerInHandlerAt(sim::Time at, int shard = 0) {
+    return Add(at, FaultEventKind::kCrashServerInHandler, shard);
   }
+  FaultSchedule& CacheDownAt(sim::Time at) { return Add(at, FaultEventKind::kCacheDown, 0); }
+  FaultSchedule& CacheUpAt(sim::Time at) { return Add(at, FaultEventKind::kCacheUp, 0); }
 
   bool empty() const { return events.empty(); }
+
+ private:
+  FaultSchedule& Add(sim::Time at, FaultEventKind kind, int target) {
+    events.push_back({at, kind, target});
+    return *this;
+  }
 };
 
 }  // namespace fault

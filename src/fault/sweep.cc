@@ -252,7 +252,8 @@ SeedStats RunFaultSeed(const SweepOptions& options, uint64_t seed) {
     client->MountRemote(options.protocol, "/data", server.address(), server.root(), options);
   }
 
-  testbed::ApplyFaultSchedule(simulator, network, &server, client_ptrs, options.schedule);
+  testbed::ApplyFaultSchedule(simulator, network, {&server}, /*cache=*/nullptr, client_ptrs,
+                              options.schedule);
   for (int i = 0; i < options.num_clients; ++i) {
     simulator.Spawn(ClientWorkload(simulator, run, *clients[i], i, seed));
   }

@@ -36,160 +36,120 @@ std::string Rig::ShardRoot(int s) { return "/data/s" + std::to_string(s); }
 
 Rig::Rig(RigOptions options)
     : options_(options), network_(simulator_, options.network, /*seed=*/11) {
-  if (options_.fleet.active()) {
-    BuildFleet();
-  } else {
-    BuildClassic();
-  }
-}
-
-void Rig::BuildClassic() {
+  const FleetOptions& topology = options_.fleet;
   bool remote = options_.protocol != Protocol::kLocal;
-  if (remote) {
-    servers_.push_back(std::make_unique<ServerMachine>(simulator_, network_, "server",
-                                                       ServerProtocolFor(options_.protocol),
-                                                       options_.server));
-  }
-  clients_.push_back(
-      std::make_unique<ClientMachine>(simulator_, network_, "client", options_.client));
+  bool classic = !topology.active();
+  CHECK(remote || classic);                // a fleet is remote by definition
+  CHECK(classic || !options_.remote_tmp);  // fleet temporaries stay on the client disk
+  CHECK(!topology.meta_cache || options_.protocol == Protocol::kNfs);
+  CHECK_GE(topology.servers, 1);
+  CHECK_GE(topology.clients, 1);
+  ServerProtocol protocol = ServerProtocolFor(options_.protocol);
 
-  // Carve out the exported directories before wiring any mounts.
+  // Hosts attach in a fixed order — shards, then the cache, then clients —
+  // so host ids (and thus trace machine ids) are deterministic.
+  for (int s = 0; remote && s < topology.servers; ++s) {
+    ServerMachineParams params = options_.server;
+    params.fs.fsid = static_cast<uint32_t>(1 + s);  // fsid names the shard
+    servers_.push_back(std::make_unique<ServerMachine>(
+        simulator_, network_, "server" + std::to_string(s), protocol, params));
+  }
+
+  // Carve each shard's exported directory — and the classic rig's /rtmp
+  // candidate — before wiring any mounts. The cache's shard map holds the
+  // exported roots, so the cache attaches after the carve.
   proto::FileHandle tmp_parent;
   if (remote) {
-    simulator_.Spawn([](Rig& rig, proto::FileHandle* tmp_parent) -> sim::Task<void> {
-      auto data = co_await rig.servers_[0]->fs().Mkdir(rig.servers_[0]->fs().root(), "data");
-      CHECK(data.ok());
-      rig.data_parent_ = data->fh;
-      auto tmp = co_await rig.servers_[0]->fs().Mkdir(rig.servers_[0]->fs().root(), "tmp");
-      CHECK(tmp.ok());
-      *tmp_parent = tmp->fh;
-    }(*this, &tmp_parent));
+    simulator_.Spawn([](Rig& rig, bool classic, proto::FileHandle* tmp_parent) -> sim::Task<void> {
+      for (const auto& server : rig.servers_) {
+        auto data = co_await server->fs().Mkdir(server->fs().root(), "data");
+        CHECK(data.ok());
+        rig.data_parents_.push_back(data->fh);
+      }
+      if (classic) {
+        auto tmp = co_await rig.shard_fs(0).Mkdir(rig.shard_fs(0).root(), "tmp");
+        CHECK(tmp.ok());
+        *tmp_parent = tmp->fh;
+      }
+    }(*this, classic, &tmp_parent));
     simulator_.Run();
   }
 
-  // /local: the client's own disk, always present.
-  clients_[0]->MountLocal(local_root_);
-
-  if (remote) {
-    ServerProtocol protocol = ServerProtocolFor(options_.protocol);
-    net::Address server = servers_[0]->address();
-    clients_[0]->MountRemote(protocol, data_root_, server, data_parent_, options_);
-    if (options_.remote_tmp) {
-      clients_[0]->MountRemote(protocol, "/rtmp", server, tmp_parent, options_);
-      tmp_dir_ = "/rtmp";
-    } else {
-      tmp_dir_ = "/local/tmp";
+  if (topology.meta_cache) {
+    fleet::ShardMap shard_map;
+    for (int s = 0; s < num_shards(); ++s) {
+      shard_map.AddShard(fleet::Shard{s, ShardRoot(s), shard_fs(s).fsid(), shard(s).address(),
+                                      shard_data_parent(s)});
     }
-    servers_[0]->Start();
-  } else {
-    clients_[0]->MountLocal(data_root_);
+    meta_cache_ = std::make_unique<fleet::MetaCache>(simulator_, network_, "metacache",
+                                                     std::move(shard_map), topology.meta);
+  }
+  for (int c = 0; c < topology.clients; ++c) {
+    clients_.push_back(std::make_unique<ClientMachine>(
+        simulator_, network_, "client" + std::to_string(c), options_.client));
+  }
+  if (!remote) {
     // In the local configuration /data and /local share the client disk;
     // the data tree's parent is the local fs root.
-    data_parent_ = data_fs().root();
-    tmp_dir_ = "/local/tmp";
-  }
-  clients_[0]->Start();
-
-  if (!options_.faults.empty()) {
-    ApplyFaultSchedule(simulator_, network_, servers_.empty() ? nullptr : servers_[0].get(),
-                       {clients_[0].get()}, options_.faults);
+    data_parents_.push_back(data_fs().root());
   }
 
-  // Create the local temp directory if the configuration uses one.
+  // Every client mounts every shard: the classic rig at /data, a fleet at
+  // ShardRoot(s). The vfs mount table's longest-prefix rule then routes by
+  // path, and the mount's root handle carries the shard's fsid for
+  // handle-based routing from there on. With the metadata tier the cache
+  // *is* the server as far as the client can tell; it routes forwards by
+  // the handles' fsid.
+  if (remote && classic && options_.remote_tmp) {
+    tmp_dir_ = "/rtmp";
+  }
+  for (const auto& client : clients_) {
+    client->MountLocal(local_root_);
+    if (!remote) {
+      client->MountLocal(data_root_);
+    }
+    for (int s = 0; s < num_shards(); ++s) {
+      net::Address target = meta_cache_ != nullptr ? meta_cache_->address() : shard(s).address();
+      client->MountRemote(protocol, classic ? data_root_ : ShardRoot(s), target,
+                          shard_data_parent(s), options_);
+    }
+    if (tmp_dir_ == "/rtmp") {
+      client->MountRemote(protocol, tmp_dir_, shard(0).address(), tmp_parent, options_);
+    }
+  }
+
+  for (const auto& server : servers_) {
+    server->Start();
+  }
+  if (meta_cache_ != nullptr) {
+    meta_cache_->Start();
+  }
+  for (const auto& client : clients_) {
+    client->Start();
+  }
+
   if (tmp_dir_ == "/local/tmp") {
     simulator_.Spawn([](Rig& rig) -> sim::Task<void> {
-      auto made = co_await rig.clients_[0]->vfs().MkdirPath("/local/tmp");
-      CHECK(made.ok());
+      for (const auto& client : rig.clients_) {
+        auto made = co_await client->vfs().MkdirPath("/local/tmp");
+        CHECK(made.ok());
+      }
     }(*this));
     simulator_.Run();
   }
 }
 
-void Rig::BuildFleet() {
-  CHECK(options_.protocol != Protocol::kLocal);  // a fleet is remote by definition
-  CHECK(!options_.remote_tmp);                   // temporaries stay on the client disk
-  CHECK(options_.faults.empty());                // fleet benches script faults directly
-  if (options_.fleet.meta_cache) {
-    CHECK(options_.protocol == Protocol::kNfs);
+void Rig::ApplyFaultSchedule(const fault::FaultSchedule& schedule) {
+  std::vector<ServerMachine*> servers;
+  for (const auto& server : servers_) {
+    servers.push_back(server.get());
   }
-  int shards = options_.fleet.servers;
-  int num_clients = options_.fleet.clients;
-  CHECK_GE(shards, 1);
-  CHECK_GE(num_clients, 1);
-
-  // Hosts attach in a fixed order — shards, then the cache, then clients —
-  // so host ids (and thus trace machine ids) are deterministic.
-  for (int s = 0; s < shards; ++s) {
-    ServerMachineParams params = options_.server;
-    params.fs.fsid = static_cast<uint32_t>(1 + s);  // fsid names the shard
-    servers_.push_back(std::make_unique<ServerMachine>(
-        simulator_, network_, "server" + std::to_string(s),
-        ServerProtocolFor(options_.protocol), params));
+  std::vector<ClientMachine*> clients;
+  for (const auto& client : clients_) {
+    clients.push_back(client.get());
   }
-
-  // Carve each shard's exported directory before wiring any mounts.
-  data_parents_.resize(static_cast<size_t>(shards));
-  simulator_.Spawn([](Rig& rig) -> sim::Task<void> {
-    for (size_t s = 0; s < rig.servers_.size(); ++s) {
-      auto data = co_await rig.servers_[s]->fs().Mkdir(rig.servers_[s]->fs().root(), "data");
-      CHECK(data.ok());
-      rig.data_parents_[s] = data->fh;
-    }
-  }(*this));
-  simulator_.Run();
-  data_parent_ = data_parents_[0];
-
-  for (int s = 0; s < shards; ++s) {
-    shard_map_.AddShard(fleet::Shard{s, ShardRoot(s), servers_[static_cast<size_t>(s)]->fs().fsid(),
-                                     servers_[static_cast<size_t>(s)]->address(),
-                                     data_parents_[static_cast<size_t>(s)]});
-  }
-
-  if (options_.fleet.meta_cache) {
-    meta_cache_ = std::make_unique<fleet::MetaCache>(simulator_, network_, "metacache",
-                                                     shard_map_, options_.fleet.meta);
-  }
-
-  for (int c = 0; c < num_clients; ++c) {
-    clients_.push_back(std::make_unique<ClientMachine>(
-        simulator_, network_, "client" + std::to_string(c), options_.client));
-  }
-
-  // Every client mounts every shard at its namespace prefix; the vfs mount
-  // table's longest-prefix rule then routes by path, and the mount's root
-  // handle carries the shard's fsid for handle-based routing from there on.
-  tmp_dir_ = "/local/tmp";
-  for (size_t c = 0; c < clients_.size(); ++c) {
-    ClientMachine& client = *clients_[c];
-    client.MountLocal(local_root_);
-    for (int s = 0; s < shards; ++s) {
-      net::Address shard_addr = servers_[static_cast<size_t>(s)]->address();
-      proto::FileHandle root = data_parents_[static_cast<size_t>(s)];
-      // With the metadata tier (NFS only) the cache *is* the server as far
-      // as the client can tell; it routes forwards by the handles' fsid.
-      net::Address target = meta_cache_ != nullptr ? meta_cache_->address() : shard_addr;
-      client.MountRemote(ServerProtocolFor(options_.protocol), ShardRoot(s), target, root,
-                         options_);
-    }
-  }
-
-  for (size_t s = 0; s < servers_.size(); ++s) {
-    servers_[s]->Start();
-  }
-  if (meta_cache_ != nullptr) {
-    meta_cache_->Start();
-  }
-  for (size_t c = 0; c < clients_.size(); ++c) {
-    clients_[c]->Start();
-  }
-
-  simulator_.Spawn([](Rig& rig) -> sim::Task<void> {
-    for (size_t c = 0; c < rig.clients_.size(); ++c) {
-      auto made = co_await rig.clients_[c]->vfs().MkdirPath("/local/tmp");
-      CHECK(made.ok());
-    }
-  }(*this));
-  simulator_.Run();
+  testbed::ApplyFaultSchedule(simulator_, network_, servers, meta_cache_.get(), clients,
+                              schedule);
 }
 
 fs::LocalFs& Rig::data_fs() {

@@ -1,24 +1,31 @@
-// Rig: one benchmark configuration — a client machine, optionally a file
-// server, and the mount layout the paper's tables vary:
+// Rig: one benchmark configuration — N shard servers (none under kLocal),
+// an optional metadata cache and M clients — built by one sequence:
+// attach the machines, carve each shard's exported directory, mount, start,
+// and make /local/tmp on every client that keeps temporaries locally.
+//
+// The classic rig is the paper's testbed, one server and one client
+// (FleetOptions at its defaults). It mounts shard 0 at /data, and the
+// layouts the paper's tables vary are:
 //
 //   kLocal          /data and the temp dir both on the client's local disk;
 //   kNfs/kSnfs/kNqnfs
-//                   /data remote; temp dir either local or remote per
-//                   `remote_tmp` ("one with just the data files remotely
+//                   /data remote; temp dir either local or remote (/rtmp)
+//                   per `remote_tmp` ("one with just the data files remotely
 //                   mounted but temporary files kept locally, and the last
 //                   with both data and temporary files remotely mounted").
 //
-// The rig always provides /local (the client's own disk) for benchmark
-// inputs/outputs that are not under test.
+// A fleet (src/fleet) differs in one layout rule: shard k exports its tree
+// at ShardRoot(k) = "/data/s<k>" instead of /data. Every shard has fsid
+// 1+k and every client mounts every shard, so the vfs mount table does the
+// client-side longest-prefix routing and the one logical namespace spans
+// the fleet. With fleet.meta_cache (NFS only) a fleet::MetaCache is
+// interposed on the network path: clients mount the shards with the
+// cache's address as the server, and the cache answers getattr/lookup or
+// forwards by fsid.
 //
-// Fleet topology (src/fleet): setting RigOptions::fleet grows the rig from
-// the classic one-server-one-client pair to N shard servers × M clients.
-// Shard k exports its tree at "/data/s<k>" (fsid 1+k) and every client
-// mounts all shards, so the vfs mount table does the client-side
-// longest-prefix routing and the one logical namespace spans the fleet.
-// With fleet.meta_cache (NFS only) a fleet::MetaCache is interposed on the
-// network path: clients mount the shards with the cache's address as the
-// server, and the cache answers getattr/lookup or forwards by fsid.
+// The rig always provides /local (each client's own disk) for benchmark
+// inputs/outputs that are not under test. Machines are named server<k>,
+// metacache and client<c>; ApplyFaultSchedule scripts crashes against them.
 #ifndef SRC_TESTBED_RIG_H_
 #define SRC_TESTBED_RIG_H_
 
@@ -28,7 +35,6 @@
 
 #include "src/fault/schedule.h"
 #include "src/fleet/meta_cache.h"
-#include "src/fleet/shard_map.h"
 #include "src/testbed/machine.h"
 
 namespace testbed {
@@ -37,8 +43,8 @@ enum class Protocol { kLocal, kNfs, kSnfs, kNqnfs };
 
 std::string_view ProtocolName(Protocol protocol);
 
-// N-server × M-client fleet topology. The defaults (1×1, no cache) keep the
-// rig on its classic single-server construction path, byte for byte.
+// N-server × M-client fleet topology. The defaults (1×1, no cache) are the
+// classic rig.
 struct FleetOptions {
   int servers = 1;
   int clients = 1;
@@ -54,14 +60,10 @@ struct FleetOptions {
 // The inherited nfs / snfs / nqnfs members configure the remote clients.
 struct RigOptions : ClientProtocolParams {
   Protocol protocol = Protocol::kLocal;
-  bool remote_tmp = false;  // meaningful for kNfs / kSnfs
+  bool remote_tmp = false;  // classic rig under kNfs / kSnfs / kNqnfs only
   ClientMachineParams client;
   ServerMachineParams server;
   net::NetworkParams network;  // network.faults enables link-fault injection
-  // Scripted crash/restart points, applied when the rig is built. Ignored
-  // for machines the configuration does not have (no server under kLocal).
-  // Not supported in fleet mode (fleet benches script faults directly).
-  fault::FaultSchedule faults;
   FleetOptions fleet;
 };
 
@@ -74,14 +76,13 @@ class Rig {
   const std::string& tmp_dir() const { return tmp_dir_; }        // varies
   const std::string& local_root() const { return local_root_; }  // "/local"
 
-  // The file system that holds /data (for out-of-band population) and the
-  // directory handle /data is mounted on. In fleet mode: shard 0's.
+  // The file system that holds shard 0's data (for out-of-band population)
+  // and the directory handle it is mounted on; client 0's disk under kLocal.
   fs::LocalFs& data_fs();
-  proto::FileHandle data_parent() const { return data_parent_; }
+  proto::FileHandle data_parent() const { return data_parents_[0]; }
 
   sim::Simulator& simulator() { return simulator_; }
   ClientMachine& client(int i = 0) { return *clients_[static_cast<size_t>(i)]; }
-  ServerMachine* server() { return servers_.empty() ? nullptr : servers_[0].get(); }
   net::Network& network() { return network_; }
   const RigOptions& options() const { return options_; }
 
@@ -90,36 +91,34 @@ class Rig {
   // Server disk counters (the client's own disk for kLocal).
   disk::Disk& served_disk();
 
-  // --- fleet topology -------------------------------------------------------
-  bool fleet_mode() const { return options_.fleet.active(); }
   int num_shards() const { return static_cast<int>(servers_.size()); }
   int num_clients() const { return static_cast<int>(clients_.size()); }
   ServerMachine& shard(int s) { return *servers_[static_cast<size_t>(s)]; }
   fleet::MetaCache* meta_cache() { return meta_cache_.get(); }
-  const fleet::ShardMap& shard_map() const { return shard_map_; }
   fs::LocalFs& shard_fs(int s) { return servers_[static_cast<size_t>(s)]->fs(); }
   proto::FileHandle shard_data_parent(int s) const {
     return data_parents_[static_cast<size_t>(s)];
   }
-  // Namespace prefix shard s exports, "/data/s<s>".
+  // Namespace prefix shard s exports in a fleet, "/data/s<s>".
   static std::string ShardRoot(int s);
 
- private:
-  void BuildClassic();
-  void BuildFleet();
+  // Schedules `schedule` against this rig's machines: server events name a
+  // shard, client events a client, cache events the metadata cache. Times
+  // are absolute; call after population so the faults land in the run.
+  void ApplyFaultSchedule(const fault::FaultSchedule& schedule);
 
+ private:
   RigOptions options_;
   sim::Simulator simulator_;
   net::Network network_;
   std::vector<std::unique_ptr<ServerMachine>> servers_;
   std::unique_ptr<fleet::MetaCache> meta_cache_;
   std::vector<std::unique_ptr<ClientMachine>> clients_;
-  fleet::ShardMap shard_map_;  // fleet mode only
   std::string data_root_ = "/data";
-  std::string tmp_dir_;
+  std::string tmp_dir_ = "/local/tmp";
   std::string local_root_ = "/local";
-  proto::FileHandle data_parent_;
-  std::vector<proto::FileHandle> data_parents_;  // fleet mode: per shard
+  // Per shard: the exported directory; client 0's local root under kLocal.
+  std::vector<proto::FileHandle> data_parents_;
 };
 
 }  // namespace testbed

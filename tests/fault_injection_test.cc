@@ -1,8 +1,8 @@
 // The deterministic fault-injection harness: FaultPlan semantics (loss,
 // duplication, reordering, partitions, per-seed determinism), FaultSchedule
 // interpretation against testbed machines (crash/reboot, crash
-// mid-RPC-handler), and the seed-sweep driver's protocol invariants under
-// NFS and SNFS.
+// mid-RPC-handler, events naming a missing machine), and the seed-sweep
+// driver's protocol invariants under NFS and SNFS.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -205,7 +205,7 @@ TEST(FaultScheduleTest, ScheduledServerCrashAndRebootAreApplied) {
 
   FaultSchedule schedule;
   schedule.CrashServerAt(sim::Sec(2)).RebootServerAt(sim::Sec(4));
-  testbed::ApplyFaultSchedule(w.simulator, w.network, w.server.get(),
+  testbed::ApplyFaultSchedule(w.simulator, w.network, {w.server.get()}, /*cache=*/nullptr,
                               {&w.client(0)}, schedule);
 
   bool done = false;
@@ -230,7 +230,7 @@ TEST(FaultScheduleTest, ScheduledClientCrashAndRestartAreApplied) {
 
   FaultSchedule schedule;
   schedule.CrashClientAt(sim::Sec(2), 0).RestartClientAt(sim::Sec(3), 0);
-  testbed::ApplyFaultSchedule(w.simulator, w.network, w.server.get(),
+  testbed::ApplyFaultSchedule(w.simulator, w.network, {w.server.get()}, /*cache=*/nullptr,
                               {&w.client(0)}, schedule);
 
   bool done = false;
@@ -259,7 +259,7 @@ TEST(FaultScheduleTest, CrashMidHandlerKillsTheDispatchedRequest) {
 
   FaultSchedule schedule;
   schedule.CrashServerInHandlerAt(sim::Sec(2)).RebootServerAt(sim::Sec(5));
-  testbed::ApplyFaultSchedule(w.simulator, w.network, w.server.get(),
+  testbed::ApplyFaultSchedule(w.simulator, w.network, {w.server.get()}, /*cache=*/nullptr,
                               {&w.client(0)}, schedule);
 
   bool done = false;
@@ -278,6 +278,27 @@ TEST(FaultScheduleTest, CrashMidHandlerKillsTheDispatchedRequest) {
   // (generation bumped by the scheduled reboot) and came back.
   EXPECT_GE(w.server->peer().generation(), 1u);
   EXPECT_TRUE(w.server->peer().running());
+}
+
+// One server, one client, no cache: every event below names a machine this
+// topology lacks.
+void ApplyToOneServerOneClient(const FaultSchedule& schedule) {
+  World w(ServerProtocol::kNfs, 1);
+  testbed::ApplyFaultSchedule(w.simulator, w.network, {w.server.get()}, /*cache=*/nullptr,
+                              {&w.client(0)}, schedule);
+}
+
+TEST(FaultScheduleDeathTest, EventNamingAMissingMachineFails) {
+  EXPECT_DEATH(ApplyToOneServerOneClient(FaultSchedule().CrashServerAt(sim::Sec(1), 1)),
+               "CHECK failed.*machines.size");
+  EXPECT_DEATH(ApplyToOneServerOneClient(FaultSchedule().CrashServerInHandlerAt(sim::Sec(1), 1)),
+               "CHECK failed.*machines.size");
+  EXPECT_DEATH(ApplyToOneServerOneClient(FaultSchedule().RestartClientAt(sim::Sec(1), 1)),
+               "CHECK failed.*machines.size");
+  EXPECT_DEATH(ApplyToOneServerOneClient(FaultSchedule().CrashClientAt(sim::Sec(1), -1)),
+               "CHECK failed.*index >= 0");
+  EXPECT_DEATH(ApplyToOneServerOneClient(FaultSchedule().CacheDownAt(sim::Sec(1))),
+               "CHECK failed.*cache != nullptr");
 }
 
 // --- Seed sweeps: protocol invariants under scripted chaos ------------------

@@ -1,7 +1,7 @@
 // Fleet tests: ShardMap routing edges, the N-server x M-client rig topology
-// for all three protocols, and the fleet::MetaCache metadata tier
-// (coherence through interposition, miss coalescing, bounded eviction, and
-// the MetaInval administration RPC).
+// for all three protocols and under a fault::FaultSchedule, and the
+// fleet::MetaCache metadata tier (coherence through interposition, miss
+// coalescing, bounded eviction, and the MetaInval administration RPC).
 #include <gtest/gtest.h>
 
 #include "src/fleet/meta_cache.h"
@@ -168,6 +168,50 @@ TEST(FleetRigTest, ShardCrashRecoverySmoke) {
     EXPECT_TRUE((co_await rig.client(0).vfs().WriteFile("/data/s0/g", Bytes("up"))).ok());
     done = true;
   }(rig, done));
+  rig.simulator().Run();
+  EXPECT_TRUE(done);
+}
+
+TEST(FleetRigTest, FaultScheduleCrashesAShardAndTakesTheCacheDown) {
+  Rig rig(FleetOptions(Protocol::kNfs, 2, 1, /*cache=*/true));
+  bool written = false;
+  rig.simulator().Spawn([](Rig& rig, bool& written) -> sim::Task<void> {
+    written = (co_await rig.client(0).vfs().WriteFile("/data/s1/f", Bytes("kept"))).ok();
+  }(rig, written));
+  rig.simulator().Run();
+  ASSERT_TRUE(written);
+
+  // Shard 1 is down over [1 s, 2 s) and the cache over [1.5 s, 3 s), both
+  // counted from now.
+  sim::Time t0 = rig.simulator().Now();
+  fault::FaultSchedule schedule;
+  schedule.CrashServerAt(t0 + sim::Sec(1), 1)
+      .RebootServerAt(t0 + sim::Sec(2), 1)
+      .CacheDownAt(t0 + sim::Msec(1500))
+      .CacheUpAt(t0 + sim::Sec(3));
+  rig.ApplyFaultSchedule(schedule);
+
+  bool done = false;
+  rig.simulator().Spawn([](Rig& rig, sim::Time t0, bool& done) -> sim::Task<void> {
+    auto cache_up = [&rig] { return rig.network().IsHostUp(rig.meta_cache()->address()); };
+    co_await sim::Sleep(rig.simulator(), t0 + sim::Msec(1600) - rig.simulator().Now());
+    EXPECT_FALSE(rig.shard(1).peer().running());
+    EXPECT_FALSE(cache_up());
+    co_await sim::Sleep(rig.simulator(), sim::Sec(1));  // t0 + 2.6 s
+    EXPECT_TRUE(rig.shard(1).peer().running());
+    EXPECT_FALSE(cache_up());
+    EXPECT_TRUE(rig.shard(0).peer().running());  // the other shard never went down
+    co_await sim::Sleep(rig.simulator(), sim::Sec(1));  // t0 + 3.6 s
+    EXPECT_TRUE(rig.shard(1).peer().running());
+    EXPECT_TRUE(cache_up());
+    auto got = co_await rig.client(0).vfs().ReadFile("/data/s1/f");
+    EXPECT_TRUE(got.ok());
+    if (!got.ok()) {
+      co_return;
+    }
+    EXPECT_EQ(Str(*got), "kept");
+    done = true;
+  }(rig, t0, done));
   rig.simulator().Run();
   EXPECT_TRUE(done);
 }
