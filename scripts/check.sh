@@ -17,7 +17,8 @@
 #     peers, use-after-free on restart) would hide — plus sim_test, the
 #     simulator kernel's own tests, with leak detection on, and fleet_test
 #     and workload_test, which build the rig as a fleet and as the classic
-#     single-server layout.
+#     single-server layout, and nfs_test, snfs_test and consistency_test,
+#     which drive every protocol's server dispatch.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -116,7 +117,8 @@ cmake --preset asan
 # a suspended create/read, lease expiry mid-upgrade): their bugs only show
 # as use-after-free, so they run under the sanitizers too.
 cmake --build build-asan -j --target fault_injection_test rpc_test recovery_test \
-  fs_test hybrid_test nqnfs_test fleet_test workload_test sim_test
+  fs_test hybrid_test nqnfs_test fleet_test workload_test sim_test nfs_test snfs_test \
+  consistency_test
 # The simulator kernel owns the event arena, the future/promise shared state
 # and its take-once move-out; its tests leave no coroutine frame suspended at
 # teardown, so they run leak-checked.
@@ -141,5 +143,12 @@ export ASAN_OPTIONS=detect_leaks=0
 # Rig has one build path for both layouts: fleet_test drives it as a fleet,
 # workload_test as the classic local/NFS/SNFS rig.
 ./build-asan/tests/workload_test
+# All three servers share one NFS dispatch: nfs_test drives it bare,
+# snfs_test behind the state table (open/close, callbacks, remove dropping
+# state), consistency_test behind every protocol (sharing scenarios, the
+# random-oracle sweep, and which requests each server rejects).
+./build-asan/tests/nfs_test
+./build-asan/tests/snfs_test
+./build-asan/tests/consistency_test
 
 echo "All checks passed."

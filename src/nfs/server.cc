@@ -20,12 +20,6 @@ proto::Reply FromStatus(base::Result<void> result) {
 
 }  // namespace
 
-NfsServer::NfsServer(fs::LocalFs& fs, rpc::Peer& peer) : fs_(fs), peer_(peer) {
-  peer_.set_handler([this](proto::Request request, net::Address from) {
-    return Handle(std::move(request), from);
-  });
-}
-
 sim::Task<proto::Reply> NfsServer::Handle(proto::Request request, net::Address from) {
   switch (proto::KindOf(request)) {
     case proto::OpKind::kNull:
@@ -57,7 +51,8 @@ sim::Task<proto::Reply> NfsServer::Handle(proto::Request request, net::Address f
     case proto::OpKind::kWrite: {
       auto& req = std::get<proto::WriteReq>(request);
       // Stateless-server requirement: data reaches stable storage before
-      // the reply goes out.
+      // the reply goes out. SNFS keeps it ("writes are always synchronous
+      // with the disk at the server").
       auto attr = co_await fs_.Write(req.fh, req.offset, std::move(req.data),
                                      fs::LocalFs::WriteMode::kSync);
       if (!attr.ok()) {

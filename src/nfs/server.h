@@ -1,4 +1,6 @@
 // The NFS server: stateless, translating each RPC into LocalFs operations.
+// It is the one NFS dispatch: the SNFS and NQNFS servers hold one and pass
+// it every request they do not handle themselves.
 //
 // Per the stateless-server contract, every write RPC is synchronous with
 // the disk ("an NFS server is required to write data to stable storage
@@ -11,26 +13,21 @@
 #include "src/fs/local_fs.h"
 #include "src/net/network.h"
 #include "src/proto/messages.h"
-#include "src/rpc/peer.h"
 #include "src/sim/task.h"
 
 namespace nfs {
 
 class NfsServer {
  public:
-  // Installs itself as `peer`'s request handler.
-  NfsServer(fs::LocalFs& fs, rpc::Peer& peer);
+  explicit NfsServer(fs::LocalFs& fs) : fs_(fs) {}
 
   NfsServer(const NfsServer&) = delete;
   NfsServer& operator=(const NfsServer&) = delete;
-
-  proto::FileHandle root() const { return fs_.root(); }
 
   sim::Task<proto::Reply> Handle(proto::Request request, net::Address from);
 
  private:
   fs::LocalFs& fs_;
-  rpc::Peer& peer_;
 };
 
 }  // namespace nfs

@@ -13,10 +13,9 @@ NqnfsServer::NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& 
     : simulator_(simulator),
       fs_(fs),
       peer_(peer),
+      nfs_(fs),
       params_(params),
       vacate_budget_(simulator, params.vacate_budget) {
-  nfs_ = std::make_unique<nfs::NfsServer>(fs, peer);
-  // NfsServer installed itself; take over the dispatch.
   peer_.set_handler([this](proto::Request request, net::Address from) {
     return Handle(std::move(request), from);
   });
@@ -299,7 +298,7 @@ sim::Task<proto::Reply> NqnfsServer::Handle(proto::Request request, net::Address
       break;  // namespace traffic and everything else passes straight through
   }
 
-  proto::Reply reply = co_await nfs_->Handle(std::move(request), from);
+  proto::Reply reply = co_await nfs_.Handle(std::move(request), from);
   if (write_lock != nullptr) {
     write_lock->Release();
   }

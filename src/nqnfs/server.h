@@ -14,8 +14,8 @@
 // period anywhere.
 //
 // Like the SNFS server, "our only modification to the original NFS server
-// code" is additive: data operations are delegated to a wrapped NfsServer,
-// with the lease machinery layered in front.
+// code" is additive: every request but getlease is delegated to an
+// NfsServer held by value, with the lease machinery layered in front.
 #ifndef SRC_NQNFS_SERVER_H_
 #define SRC_NQNFS_SERVER_H_
 
@@ -47,15 +47,13 @@ struct NqnfsServerParams {
 
 class NqnfsServer {
  public:
-  // Installs itself as `peer`'s request handler (owning an NfsServer whose
-  // handler it overrides, hybrid-server style).
+  // Installs itself as `peer`'s request handler; its NfsServer, held by
+  // value, serves every request once the lease machinery has run.
   NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& peer,
               NqnfsServerParams params = {});
 
   NqnfsServer(const NqnfsServer&) = delete;
   NqnfsServer& operator=(const NqnfsServer&) = delete;
-
-  proto::FileHandle root() const { return fs_.root(); }
 
   sim::Task<proto::Reply> Handle(proto::Request request, net::Address from);
 
@@ -109,8 +107,8 @@ class NqnfsServer {
   sim::Simulator& simulator_;
   fs::LocalFs& fs_;
   rpc::Peer& peer_;
+  nfs::NfsServer nfs_;
   NqnfsServerParams params_;
-  std::unique_ptr<nfs::NfsServer> nfs_;
   snfs::LeaseTable leases_;
   sim::Semaphore vacate_budget_;
   std::unordered_map<uint64_t, std::unique_ptr<sim::Mutex>> file_locks_;

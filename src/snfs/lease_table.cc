@@ -18,17 +18,6 @@ void LeaseTable::Put(uint64_t fileid, int host, Lease lease) {
   leases_[LeaseKey{fileid, host}] = lease;
 }
 
-sim::Time LeaseTable::ExtendTo(uint64_t fileid, int host, sim::Time expires) {
-  Lease* lease = Find(fileid, host);
-  if (lease == nullptr) {
-    return 0;
-  }
-  if (expires > lease->expires) {
-    lease->expires = expires;
-  }
-  return lease->expires;
-}
-
 bool LeaseTable::Erase(uint64_t fileid, int host) {
   return leases_.erase(LeaseKey{fileid, host}) > 0;
 }

@@ -46,10 +46,6 @@ class LeaseTable {
   // Insert or overwrite the lease for (fileid, host).
   void Put(uint64_t fileid, int host, Lease lease);
 
-  // Extend an existing lease; no-op when absent. Returns the new expiry, or
-  // 0 when no lease was found.
-  sim::Time ExtendTo(uint64_t fileid, int host, sim::Time expires);
-
   bool Erase(uint64_t fileid, int host);
 
   // Snapshot of entries with expires <= now, in key order. Callers act on

@@ -1,4 +1,5 @@
-// The SNFS server: the NFS server plus the state table manager, the two new
+// The SNFS server: the NFS server (held by value; it serves every request
+// outside the SNFS vocabulary) plus the state table manager, the two new
 // open/close RPC services (§4.3.1: "our only modification to the original
 // NFS server code was to add the two new RPC service functions"), callback
 // issuance with a deadlock-avoiding thread budget (§3.2: "if there are N
@@ -13,6 +14,7 @@
 
 #include "src/fs/local_fs.h"
 #include "src/net/network.h"
+#include "src/nfs/server.h"
 #include "src/proto/messages.h"
 #include "src/rpc/peer.h"
 #include "src/sim/simulator.h"
@@ -86,7 +88,6 @@ class SnfsServer {
   sim::Task<proto::Reply> HandleOpen(proto::OpenReq req, net::Address from);
   sim::Task<proto::Reply> HandleClose(proto::CloseReq req, net::Address from);
   sim::Task<proto::Reply> HandleReopen(proto::ReopenReq req, net::Address from);
-  sim::Task<proto::Reply> HandleData(proto::Request request, net::Address from);
 
   // Issue one callback under the thread budget; marks the file inconsistent
   // and drops the client if the callback cannot be delivered.
@@ -100,6 +101,7 @@ class SnfsServer {
   sim::Simulator& simulator_;
   fs::LocalFs& fs_;
   rpc::Peer& peer_;
+  nfs::NfsServer nfs_;
   SnfsServerParams params_;
   StateTable table_;
   sim::Semaphore callback_budget_;

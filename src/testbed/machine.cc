@@ -135,7 +135,12 @@ ServerMachine::ServerMachine(sim::Simulator& simulator, net::Network& network, s
   fs_ = std::make_unique<fs::LocalFs>(simulator, disk_, params.fs);
   peer_ = std::make_unique<rpc::Peer>(simulator, network, cpu_, name_, params.peer);
   if (protocol == ServerProtocol::kNfs) {
-    nfs_server_ = std::make_unique<nfs::NfsServer>(*fs_, *peer_);
+    // The plain NFS server is stateless and never calls out, so it takes no
+    // peer; the machine routes requests to it.
+    nfs_server_ = std::make_unique<nfs::NfsServer>(*fs_);
+    peer_->set_handler([server = nfs_server_.get()](proto::Request request, net::Address from) {
+      return server->Handle(std::move(request), from);
+    });
   } else if (protocol == ServerProtocol::kSnfs) {
     snfs_server_ = std::make_unique<snfs::SnfsServer>(simulator, *fs_, *peer_, params.snfs);
   } else {

@@ -154,7 +154,6 @@ class ServerMachine {
   proto::FileHandle root() const { return fs_->root(); }
   snfs::SnfsServer* snfs_server() { return snfs_server_.get(); }
   nqnfs::NqnfsServer* nqnfs_server() { return nqnfs_server_.get(); }
-  nfs::NfsServer* nfs_server() { return nfs_server_.get(); }
 
  private:
   sim::Simulator& simulator_;

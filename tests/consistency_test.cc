@@ -17,6 +17,8 @@
 //  namespace round trip create, list (several readdir pages), rename,
 //                       remove and rmdir through the client — the listing
 //                       matches the server's own, in order.
+//  server vocabulary    each server answers only its own protocol's
+//                       requests and rejects the others' as unsupported.
 //
 // Plus the original property test: random multi-client workloads against an
 // in-memory oracle, serialized by a (simulated) global lock, mirroring the
@@ -393,6 +395,85 @@ INSTANTIATE_TEST_SUITE_P(Protocols, ProtocolConformance,
                          [](const ::testing::TestParamInfo<ServerProtocol>& info) {
                            return ProtocolLabel(info.param);
                          });
+
+// Every server passes what it does not handle itself to the one NFS
+// dispatch, whose default arm rejects it: NFS rejects the SNFS open ("the
+// latter will reject an open operation", §6.1) and the NQNFS lease
+// request, SNFS rejects the lease request, NQNFS the open/close/reopen
+// vocabulary. Each row is sent from a client peer, in table order, so an
+// accepted close follows its accepted open.
+TEST(ServerVocabulary, EachProtocolRejectsOnlyForeignRequests) {
+  using proto::OpKind;
+  struct Row {
+    ServerProtocol protocol;
+    OpKind kind;
+    bool supported;
+  };
+  const std::vector<Row> table = {
+      {ServerProtocol::kNfs, OpKind::kNull, true},
+      {ServerProtocol::kNfs, OpKind::kOpen, false},
+      {ServerProtocol::kNfs, OpKind::kGetLease, false},
+      {ServerProtocol::kSnfs, OpKind::kNull, true},
+      {ServerProtocol::kSnfs, OpKind::kOpen, true},
+      {ServerProtocol::kSnfs, OpKind::kClose, true},
+      {ServerProtocol::kSnfs, OpKind::kReopen, true},
+      {ServerProtocol::kSnfs, OpKind::kGetLease, false},
+      {ServerProtocol::kNqnfs, OpKind::kNull, true},
+      {ServerProtocol::kNqnfs, OpKind::kOpen, false},
+      {ServerProtocol::kNqnfs, OpKind::kClose, false},
+      {ServerProtocol::kNqnfs, OpKind::kReopen, false},
+      {ServerProtocol::kNqnfs, OpKind::kGetLease, true},
+  };
+  for (ServerProtocol protocol :
+       {ServerProtocol::kNfs, ServerProtocol::kSnfs, ServerProtocol::kNqnfs}) {
+    World w(protocol, 1);
+    int answered = 0;
+    w.simulator.Spawn([](World& w, ServerProtocol protocol, const std::vector<Row>& table,
+                         int& answered) -> sim::Task<void> {
+      const proto::FileHandle fh = w.server->root();
+      for (const Row& row : table) {
+        if (row.protocol != protocol) {
+          continue;
+        }
+        proto::Request request;
+        switch (row.kind) {
+          case OpKind::kOpen:
+            request = proto::OpenReq{.fh = fh};
+            break;
+          case OpKind::kClose:
+            request = proto::CloseReq{.fh = fh};
+            break;
+          case OpKind::kReopen:
+            request = proto::ReopenReq{.fh = fh};
+            break;
+          case OpKind::kGetLease:
+            request = proto::GetLeaseReq{.fh = fh};
+            break;
+          default:
+            request = proto::NullReq{};
+            break;
+        }
+        std::string label = ProtocolLabel(protocol) + " " +
+                            std::string(proto::OpKindName(proto::KindOf(request)));
+        auto reply = co_await w.client(0).peer().Call(w.server->address(), std::move(request));
+        EXPECT_TRUE(reply.ok()) << label;
+        if (!reply.ok()) {
+          co_return;
+        }
+        if (row.supported) {
+          EXPECT_TRUE(reply->status.ok()) << label;
+        } else {
+          EXPECT_TRUE(reply->status == base::ErrNotSupported()) << label;
+        }
+        ++answered;
+      }
+    }(w, protocol, table, answered));
+    w.simulator.Run();
+    EXPECT_EQ(answered, std::count_if(table.begin(), table.end(), [&](const Row& row) {
+                return row.protocol == protocol;
+              })) << ProtocolLabel(protocol);
+  }
+}
 
 // --- random-oracle sweep ------------------------------------------------------
 

@@ -89,6 +89,25 @@ TEST(NqnfsLeaseTest, PiggybackedExtensionsKeepOneLeaseAliveAcrossTerms) {
   EXPECT_TRUE(done);
 }
 
+TEST(NqnfsLeaseTest, RemoveDropsLeasesBeforeTheyLapse) {
+  World w(ServerProtocol::kNqnfs, 1);
+  w.client(0).MountNqnfs("/data", w.server->address(), w.server->root());
+  bool done = false;
+  w.simulator.Spawn([](World& w, bool& done) -> sim::Task<void> {
+    vfs::Vfs& v = w.client(0).vfs();
+    EXPECT_TRUE((co_await v.WriteFile("/data/f", TestBytes("short-lived"))).ok());
+    EXPECT_EQ(Server(w).active_leases(), 1u);
+    // The remove erases the victim's leases at once: no holder is left to
+    // be vacated for a dead handle, and none had to lapse to get there.
+    EXPECT_TRUE((co_await v.Unlink("/data/f")).ok());
+    EXPECT_EQ(Server(w).active_leases(), 0u);
+    EXPECT_EQ(Server(w).lease_expiries(), 0u);
+    done = true;
+  }(w, done));
+  w.simulator.Run();
+  EXPECT_TRUE(done);
+}
+
 // --- write-lease eviction via the callback channel ---------------------------
 
 TEST(NqnfsLeaseTest, ReaderVacatesWriteLeaseAndSeesDelayedWrites) {

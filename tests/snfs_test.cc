@@ -407,6 +407,11 @@ TEST(SnfsTest, ServerTracksStatesThroughWorkloadLifecycle) {
     }
     EXPECT_EQ(e->state, FileState::kOneRdrDirty);
     EXPECT_TRUE((co_await a.Close(*rfd)).ok());
+
+    // Removing the file drops its entry, so a stale write-back from the
+    // last writer cannot find consistency state to resurrect it with.
+    EXPECT_TRUE((co_await a.Unlink("/data/f")).ok());
+    EXPECT_EQ(w.table().Lookup(fh), nullptr);
     done = true;
   }(w, done));
   w.simulator.Run();
