@@ -1,14 +1,15 @@
 // Raw simulator throughput: events/sec and sim-time-per-wall-second across
-// four microloads, from the bare event queue up to a full protocol stack.
+// three kernel microloads, from the bare event queue up to one RPC layer.
 //
 //   pure-timer  self-rescheduling closure timers with mixed near/far delays
 //               (exercises the timer queue: fast lane and far-timer heap);
 //   ping-pong   coroutine pairs bouncing tokens through channels (exercises
 //               the Ready() resumption path, the dominant event kind);
 //   rpc-echo    closed-loop NullReq RPCs between two peers over the
-//               simulated network (resumptions + packet delivery closures);
-//   andrew     one Andrew-benchmark trial on the SNFS remote-tmp rig (the
-//               realistic mix: cache, disk, RPC, workload coroutines).
+//               simulated network (resumptions + packet delivery closures).
+//
+// The realistic protocol mixes (Andrew, sort, the fleet hotset) are timed
+// by the repository benchmark, snfsbench.
 //
 // This is the one bench family whose headline numbers depend on wall-clock
 // time; everything else the repo measures is virtual. The JSON therefore
@@ -33,7 +34,6 @@
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
-#include "src/workload/andrew.h"
 
 namespace {
 
@@ -42,7 +42,7 @@ using metrics::Table;
 struct LoadResult {
   std::string name;
   uint64_t events = 0;      // simulator events processed
-  uint64_t work_units = 0;  // load-specific: timer hops, rounds, calls, trials
+  uint64_t work_units = 0;  // load-specific: timer hops, rounds, calls
   double sim_sec = 0;       // virtual time elapsed
   double wall_sec = 0;      // host time elapsed (machine-dependent)
 
@@ -191,47 +191,6 @@ LoadResult RunRpcEcho(uint64_t calls_per_caller) {
   return r;
 }
 
-// --- andrew replay ----------------------------------------------------------
-
-LoadResult RunAndrewReplay(int trials) {
-  testbed::RigOptions options;
-  options.protocol = testbed::Protocol::kSnfs;
-  options.remote_tmp = true;
-  testbed::Rig rig(options);
-
-  workload::AndrewShape shape;
-  rig.simulator().Spawn(workload::PopulateAndrewTree(rig.data_fs(), rig.data_parent(), shape));
-  rig.simulator().Run();
-
-  uint64_t events0 = rig.simulator().events_processed();
-  sim::Time sim0 = rig.simulator().Now();
-  WallTimer wall;
-  for (int trial = 0; trial < trials; ++trial) {
-    workload::AndrewConfig config;
-    config.src_root = rig.data_root() + "/src";
-    config.target_root = rig.data_root() + "/t" + std::to_string(trial);
-    config.tmp_dir = rig.tmp_dir();
-    config.shape = shape;
-    bool ok = false;
-    rig.simulator().Spawn(
-        [](testbed::Rig& rig, workload::AndrewConfig config, bool* ok) -> sim::Task<void> {
-          auto report = co_await workload::RunAndrew(rig.simulator(), rig.client().vfs(),
-                                                     rig.client().cpu(), config);
-          CHECK(report.ok());
-          *ok = true;
-        }(rig, config, &ok));
-    rig.simulator().Run();
-    CHECK(ok);
-  }
-  LoadResult r;
-  r.name = "andrew_replay";
-  r.events = rig.simulator().events_processed() - events0;
-  r.work_units = static_cast<uint64_t>(trials);
-  r.sim_sec = sim::ToSeconds(rig.simulator().Now() - sim0);
-  r.wall_sec = wall.Seconds();
-  return r;
-}
-
 // --- output -----------------------------------------------------------------
 
 std::string JsonNum(double v) {
@@ -274,14 +233,12 @@ int main(int argc, char** argv) {
   uint64_t timer_hops = smoke ? 50'000 : 2'000'000;
   uint64_t pingpong_rounds = smoke ? 20'000 : 500'000;  // per pair
   uint64_t echo_calls = smoke ? 2'000 : 50'000;         // per caller
-  int andrew_trials = smoke ? 1 : 2;
 
   std::printf("=== bench_simperf: raw simulator throughput ===\n\n");
   std::vector<LoadResult> results;
   results.push_back(RunPureTimer(timer_hops));
   results.push_back(RunPingPong(pingpong_rounds));
   results.push_back(RunRpcEcho(echo_calls));
-  results.push_back(RunAndrewReplay(andrew_trials));
 
   Table t({"Load", "Events", "Work units", "Sim s", "Wall s", "Events/s", "Sim s/wall s"});
   for (const LoadResult& r : results) {

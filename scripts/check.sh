@@ -15,10 +15,11 @@
 #     CMake preset) and run fault_injection_test — the crash/restart and
 #     fault-injection paths are where lifetime bugs (coroutines outliving
 #     peers, use-after-free on restart) would hide — plus sim_test, the
-#     simulator kernel's own tests, with leak detection on, and fleet_test
-#     and workload_test, which build the rig as a fleet and as the classic
-#     single-server layout, and nfs_test, snfs_test and consistency_test,
-#     which drive every protocol's server dispatch.
+#     simulator kernel's own tests, and proto_test, the shared payload type,
+#     both with leak detection on; fleet_test and workload_test, which build
+#     the rig as a fleet and as the classic single-server layout; nfs_test,
+#     snfs_test and consistency_test, which drive every protocol's server
+#     dispatch; and network_test, which moves shared payloads end to end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,7 +57,7 @@ echo "== trace checker: one fault-sweep seed with causal-trace validation =="
 # aborts the cell.
 ./build/bench/bench_fault_sweep --trace-check --seeds=1 >/dev/null
 
-echo "== simperf smoke: simulator hot path still runs all four loads =="
+echo "== simperf smoke: simulator hot path still runs all three loads =="
 ./build/bench/bench_simperf --smoke >/dev/null
 
 echo "== fleet smoke: sharded rig, metadata tier, trace-checked fault seeds =="
@@ -118,11 +119,14 @@ cmake --preset asan
 # as use-after-free, so they run under the sanitizers too.
 cmake --build build-asan -j --target fault_injection_test rpc_test recovery_test \
   fs_test hybrid_test nqnfs_test fleet_test workload_test sim_test nfs_test snfs_test \
-  consistency_test
+  consistency_test proto_test network_test
 # The simulator kernel owns the event arena, the future/promise shared state
 # and its take-once move-out; its tests leave no coroutine frame suspended at
 # teardown, so they run leak-checked.
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/sim_test
+# proto::Bytes shares one buffer between copies and slices; the protocol
+# vocabulary tests spawn no coroutines, so they run leak-checked too.
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/proto_test
 # Leak detection stays off for the protocol stacks: coroutine frames still
 # suspended when a Simulator is torn down (parked daemons and receive loops)
 # are reported as leaks. ASan/UBSan still catch use-after-free, heap
@@ -150,5 +154,9 @@ export ASAN_OPTIONS=detect_leaks=0
 ./build-asan/tests/nfs_test
 ./build-asan/tests/snfs_test
 ./build-asan/tests/consistency_test
+# Read and write payloads are shared, reference-counted buffers: the echo
+# rig sends them through the network and back. Its peers' receive loops and
+# workers are still parked at teardown, hence no leak check.
+./build-asan/tests/network_test
 
 echo "All checks passed."

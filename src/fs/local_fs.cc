@@ -36,7 +36,7 @@ proto::FileHandle LocalFs::HandleFor(const Inode& inode) const {
 proto::Attr LocalFs::AttrFor(const Inode& inode) const {
   proto::Attr attr;
   attr.type = inode.type;
-  attr.size = inode.type == proto::FileType::kRegular ? inode.data.size() : inode.entries.size();
+  attr.size = inode.type == proto::FileType::kRegular ? inode.size : inode.entries.size();
   attr.nlink = inode.nlink;
   attr.mtime = inode.mtime;
   attr.ctime = inode.ctime;
@@ -66,6 +66,86 @@ base::Result<LocalFs::Inode*> LocalFs::ResolveDir(proto::FileHandle fh) {
 sim::Task<void> LocalFs::MetadataWrite() {
   if (params_.sync_metadata) {
     co_await disk_.Write(kBlockSize);
+  }
+}
+
+// --- Block storage -----------------------------------------------------------
+
+uint64_t LocalFs::BlockLength(const Inode& inode, uint64_t block) {
+  return std::min<uint64_t>(kBlockSize, inode.size - block * kBlockSize);
+}
+
+void LocalFs::Resize(Inode& inode, uint64_t size) {
+  // Only the block holding the lower of the old and new ends changes
+  // length: a truncation trims it, an extension zero-fills it. Blocks past
+  // the old end arrive as holes.
+  uint64_t edge = std::min(inode.size, size) / kBlockSize;
+  inode.blocks.resize((size + kBlockSize - 1) / kBlockSize);
+  inode.size = size;
+  if (edge >= inode.blocks.size() || inode.blocks[edge] == nullptr) {
+    return;
+  }
+  const std::vector<uint8_t>& old = *inode.blocks[edge];
+  uint64_t length = BlockLength(inode, edge);
+  if (old.size() == length) {
+    return;
+  }
+  std::vector<uint8_t> cut(length, 0);
+  std::copy_n(old.begin(), std::min<uint64_t>(old.size(), length), cut.begin());
+  inode.blocks[edge] = std::make_shared<const std::vector<uint8_t>>(std::move(cut));
+}
+
+proto::Bytes LocalFs::ReadRange(const Inode& inode, uint64_t offset, uint64_t length) {
+  uint64_t first = offset / kBlockSize;
+  uint64_t last = (offset + length - 1) / kBlockSize;
+  if (first == last && inode.blocks[first] != nullptr) {
+    // Inside one block, as the client's aligned block read is: share it.
+    return proto::Bytes(inode.blocks[first], offset - first * kBlockSize, length);
+  }
+  // The range spans blocks (or a hole): assemble a new buffer.
+  std::vector<uint8_t> out(length, 0);
+  for (uint64_t b = first; b <= last; ++b) {
+    if (inode.blocks[b] == nullptr) {
+      continue;
+    }
+    uint64_t start = b * kBlockSize;
+    uint64_t from = std::max(offset, start);
+    uint64_t to = std::min(offset + length, start + kBlockSize);
+    const std::vector<uint8_t>& block = *inode.blocks[b];
+    std::copy(block.begin() + static_cast<int64_t>(from - start),
+              block.begin() + static_cast<int64_t>(to - start),
+              out.begin() + static_cast<int64_t>(from - offset));
+  }
+  return proto::Bytes(std::move(out));
+}
+
+void LocalFs::WriteRange(Inode& inode, uint64_t offset, const proto::Bytes& data) {
+  uint64_t end = offset + data.size();
+  if (end > inode.size) {
+    Resize(inode, end);
+  }
+  if (data.empty()) {
+    return;
+  }
+  for (uint64_t b = offset / kBlockSize; b <= (end - 1) / kBlockSize; ++b) {
+    uint64_t start = b * kBlockSize;
+    uint64_t from = std::max(offset, start);
+    uint64_t to = std::min(end, start + kBlockSize);
+    proto::Bytes piece = data.Slice(from - offset, to - from);
+    proto::Bytes::Buffer& block = inode.blocks[b];
+    if (from == start && to - from == BlockLength(inode, b)) {
+      // The piece is the whole block: adopt its buffer when it spans it.
+      block = piece.Whole();
+      if (block == nullptr) {
+        block = std::make_shared<const std::vector<uint8_t>>(piece.ToVector());
+      }
+      continue;
+    }
+    // Copy on write: readers may hold the old block.
+    std::vector<uint8_t> bytes =
+        block != nullptr ? *block : std::vector<uint8_t>(BlockLength(inode, b), 0);
+    std::copy(piece.begin(), piece.end(), bytes.begin() + static_cast<int64_t>(from - start));
+    block = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
   }
 }
 
@@ -278,7 +358,7 @@ sim::Task<base::Result<proto::Attr>> LocalFs::SetAttr(proto::FileHandle fh,
     if (inode->type != proto::FileType::kRegular) {
       co_return base::ErrIsDir();
     }
-    inode->data.resize(*req.size);
+    Resize(*inode, *req.size);
     inode->mtime = simulator_.Now();
     CacheEvictFile(inode->id);
     co_await MetadataWrite();
@@ -301,7 +381,7 @@ sim::Task<base::Result<proto::ReadRep>> LocalFs::Read(proto::FileHandle fh, uint
     co_return base::ErrIsDir();
   }
   proto::ReadRep rep;
-  uint64_t size = inode->data.size();
+  uint64_t size = inode->size;
   uint64_t end = std::min<uint64_t>(size, offset + count);
   // Charge disk time for blocks missing from the server cache.
   if (offset < end) {
@@ -318,12 +398,11 @@ sim::Task<base::Result<proto::ReadRep>> LocalFs::Read(proto::FileHandle fh, uint
     }
     // The inode may have been deleted while we were waiting on the disk.
     CO_ASSIGN_OR_RETURN(inode, Resolve(fh));
-    size = inode->data.size();
+    size = inode->size;
     end = std::min<uint64_t>(size, offset + count);
   }
   if (offset < end) {
-    rep.data.assign(inode->data.begin() + static_cast<int64_t>(offset),
-                    inode->data.begin() + static_cast<int64_t>(end));
+    rep.data = ReadRange(*inode, offset, end - offset);
   }
   rep.eof = offset + rep.data.size() >= size;
   rep.attr = AttrFor(*inode);
@@ -331,8 +410,7 @@ sim::Task<base::Result<proto::ReadRep>> LocalFs::Read(proto::FileHandle fh, uint
 }
 
 sim::Task<base::Result<proto::Attr>> LocalFs::Write(proto::FileHandle fh, uint64_t offset,
-                                                    std::vector<uint8_t> data,
-                                                    WriteMode mode) {
+                                                    proto::Bytes data, WriteMode mode) {
   CO_ASSIGN_OR_RETURN(Inode * inode, Resolve(fh));
   if (inode->type != proto::FileType::kRegular) {
     co_return base::ErrIsDir();
@@ -352,10 +430,7 @@ sim::Task<base::Result<proto::Attr>> LocalFs::Write(proto::FileHandle fh, uint64
     // Re-resolve: the file may have been removed while the disk was busy.
     CO_ASSIGN_OR_RETURN(inode, Resolve(fh));
   }
-  if (offset + data.size() > inode->data.size()) {
-    inode->data.resize(offset + data.size());
-  }
-  std::copy(data.begin(), data.end(), inode->data.begin() + static_cast<int64_t>(offset));
+  WriteRange(*inode, offset, data);
   inode->mtime = simulator_.Now();
   if (mode == WriteMode::kMemory) {
     // Data arrived in memory only; blocks are resident in the cache for

@@ -87,10 +87,13 @@ class LocalFs {
 
   // --- Data -----------------------------------------------------------------
   // Read up to `count` bytes; reads past EOF return what exists (eof set).
+  // A range inside one block is a slice of that block's buffer, not a copy.
   sim::Task<base::Result<proto::ReadRep>> Read(proto::FileHandle fh, uint64_t offset,
                                                uint32_t count);
+  // Copies each partly written block; a payload that is exactly one whole
+  // block is adopted without a copy.
   sim::Task<base::Result<proto::Attr>> Write(proto::FileHandle fh, uint64_t offset,
-                                             std::vector<uint8_t> data, WriteMode mode);
+                                             proto::Bytes data, WriteMode mode);
 
   // --- SNFS version support -------------------------------------------------
   // The version number lives with the file (as Sprite keeps it on stable
@@ -109,7 +112,13 @@ class LocalFs {
     uint64_t id = 0;
     uint32_t gen = 0;
     proto::FileType type = proto::FileType::kRegular;
-    std::vector<uint8_t> data;                    // regular files
+    // Regular-file contents: one immutable buffer per kBlockSize block,
+    // block b covering [b * kBlockSize, min((b + 1) * kBlockSize, size)),
+    // so only the last block may be short. A null block is a hole and reads
+    // as zeros. Blocks are replaced, never edited: a read reply that slices
+    // one keeps its bytes after later writes (src/proto/bytes.h).
+    std::vector<proto::Bytes::Buffer> blocks;
+    uint64_t size = 0;
     std::map<std::string, uint64_t> entries;      // directories (sorted for readdir)
     uint32_t nlink = 1;
     sim::Time mtime = 0;
@@ -123,6 +132,12 @@ class LocalFs {
   proto::Attr AttrFor(const Inode& inode) const;
   Inode& AllocInode(proto::FileType type);  // lint: unstable-source
   void DestroyInode(uint64_t id);
+
+  // Block storage of regular files.
+  static uint64_t BlockLength(const Inode& inode, uint64_t block);
+  static void Resize(Inode& inode, uint64_t size);
+  static proto::Bytes ReadRange(const Inode& inode, uint64_t offset, uint64_t length);
+  static void WriteRange(Inode& inode, uint64_t offset, const proto::Bytes& data);
 
   // Structural (metadata) write: synchronous when params_.sync_metadata.
   sim::Task<void> MetadataWrite();

@@ -20,7 +20,7 @@ LocalMount::LocalMount(sim::Simulator& simulator, LocalFs& fs, cache::BufferCach
     if (!rep.ok()) {
       co_return rep.status();
     }
-    co_return std::move(rep->data);
+    co_return rep->data.ToVector();
   };
   backing.store = [this](uint64_t fileid, uint64_t block,
                          std::vector<uint8_t> data) -> sim::Task<base::Result<void>> {

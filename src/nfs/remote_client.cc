@@ -31,7 +31,7 @@ RemoteClient::RemoteClient(sim::Simulator& simulator, rpc::Peer& peer, net::Addr
       co_return rep.status();
     }
     OnFetched(*node, rep->attr);
-    co_return std::move(rep->data);
+    co_return rep->data.ToVector();
   };
   backing.store = [this](uint64_t fileid, uint64_t block,
                          std::vector<uint8_t> data) -> sim::Task<base::Result<void>> {

@@ -210,7 +210,7 @@ sim::Task<base::Result<std::vector<uint8_t>>> NqnfsClient::Read(vfs::GnodeRef gn
       co_return rep.status();
     }
     AdoptAttrs(*node, rep->attr);
-    co_return std::move(rep->data);
+    co_return rep->data.ToVector();
   }
   // Observation point for the lease-expired-read invariant: a cached read
   // may only be served inside a live lease, at the version it granted.

@@ -4,7 +4,8 @@
 //
 // Requests and replies are plain structs gathered into std::variants; the
 // simulated transport carries them by value, and WireSize() feeds the
-// network bandwidth model.
+// network bandwidth model. Read and write payloads are proto::Bytes, so a
+// copy of a request or reply shares its data instead of duplicating it.
 #ifndef SRC_PROTO_MESSAGES_H_
 #define SRC_PROTO_MESSAGES_H_
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "src/base/status.h"
+#include "src/proto/bytes.h"
 #include "src/proto/types.h"
 
 namespace proto {
@@ -84,7 +86,7 @@ struct ReadReq {
 struct WriteReq {
   FileHandle fh;
   uint64_t offset = 0;
-  std::vector<uint8_t> data;
+  Bytes data;
 };
 
 struct CreateReq {
@@ -210,7 +212,7 @@ struct LookupRep {
 };
 
 struct ReadRep {
-  std::vector<uint8_t> data;
+  Bytes data;
   bool eof = false;
   Attr attr;
 };

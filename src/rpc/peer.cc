@@ -121,8 +121,13 @@ sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Reques
     env.request = request;  // copy retained for retransmission
     SendEnvelope(dst, std::move(env));
 
-    // The timeout races the reply for the promise.
+    // The timeout races the reply for the promise. It stays scheduled after
+    // the reply wins (events cannot be cancelled, and trailing timeouts set
+    // when Run() returns) but then does nothing.
     simulator_.Schedule(timeout, [promise]() mutable {
+      if (promise.IsSet()) {
+        return;
+      }
       promise.TrySet(proto::ErrorReply(base::ErrTimedOut()));
     });
 

@@ -295,7 +295,7 @@ sim::Task<base::Result<std::vector<uint8_t>>> SnfsClient::Read(vfs::GnodeRef gno
       co_return rep.status();
     }
     node->attr = rep->attr;
-    co_return std::move(rep->data);
+    co_return rep->data.ToVector();
   }
   co_return co_await CachedRead(node, offset, count);
 }

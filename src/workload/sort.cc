@@ -39,17 +39,17 @@ sim::Task<void> PopulateSortInput(fs::LocalFs& fs, proto::FileHandle parent,
   CHECK(file.ok());
   // Write in 64 KB slabs to keep allocation sane.
   constexpr uint64_t kSlabRecords = 1024;
-  std::vector<uint8_t> slab;
   uint64_t offset = 0;
   for (uint64_t r = 0; r < records; r += kSlabRecords) {
     uint64_t n = std::min(kSlabRecords, records - r);
-    slab.assign(n * kSortRecordBytes, 0);
+    std::vector<uint8_t> slab(n * kSortRecordBytes, 0);
     for (uint64_t i = 0; i < n; ++i) {
       FillRecord(&slab[i * kSortRecordBytes], rng.Next(), rng);
     }
-    auto wrote = co_await fs.Write(file->fh, offset, slab, fs::LocalFs::WriteMode::kMemory);
+    auto wrote =
+        co_await fs.Write(file->fh, offset, std::move(slab), fs::LocalFs::WriteMode::kMemory);
     CHECK(wrote.ok());
-    offset += slab.size();
+    offset += n * kSortRecordBytes;
   }
 }
 

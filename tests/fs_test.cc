@@ -325,6 +325,150 @@ TEST(LocalFsTest, OverwriteMiddleOfFile) {
   });
 }
 
+// LocalFs block storage, driven directly: each helper runs one operation on
+// file "f" to completion.
+struct BlockRig {
+  sim::Simulator simulator;
+  disk::Disk disk{simulator};
+  LocalFs fs{simulator, disk, LocalFsParams{.fsid = 1, .cache_blocks = 0}};
+  proto::FileHandle fh;
+
+  BlockRig() {
+    simulator.Spawn([](LocalFs& fs, proto::FileHandle& fh) -> sim::Task<void> {
+      auto rep = co_await fs.Create(fs.root(), "f", /*exclusive=*/true);
+      CHECK(rep.ok());
+      fh = rep->fh;
+    }(fs, fh));
+    simulator.Run();
+  }
+
+  proto::Attr Write(uint64_t offset, proto::Bytes data) {
+    proto::Attr attr;
+    simulator.Spawn([](LocalFs& fs, proto::FileHandle fh, uint64_t offset, proto::Bytes data,
+                       proto::Attr& attr) -> sim::Task<void> {
+      auto rep = co_await fs.Write(fh, offset, std::move(data), LocalFs::WriteMode::kMemory);
+      CHECK(rep.ok());
+      attr = *rep;
+    }(fs, fh, offset, std::move(data), attr));
+    simulator.Run();
+    return attr;
+  }
+
+  proto::ReadRep Read(uint64_t offset, uint32_t count) {
+    proto::ReadRep out;
+    simulator.Spawn([](LocalFs& fs, proto::FileHandle fh, uint64_t offset, uint32_t count,
+                       proto::ReadRep& out) -> sim::Task<void> {
+      auto rep = co_await fs.Read(fh, offset, count);
+      CHECK(rep.ok());
+      out = std::move(*rep);
+    }(fs, fh, offset, count, out));
+    simulator.Run();
+    return out;
+  }
+
+  proto::Attr Truncate(uint64_t size) {
+    proto::Attr attr;
+    simulator.Spawn([](LocalFs& fs, proto::FileHandle fh, uint64_t size,
+                       proto::Attr& attr) -> sim::Task<void> {
+      proto::SetAttrReq req;
+      req.fh = fh;
+      req.size = size;
+      auto rep = co_await fs.SetAttr(fh, req);
+      CHECK(rep.ok());
+      attr = *rep;
+    }(fs, fh, size, attr));
+    simulator.Run();
+    return attr;
+  }
+};
+
+std::vector<uint8_t> Slice(const std::vector<uint8_t>& v, uint64_t from, uint64_t to) {
+  return {v.begin() + static_cast<int64_t>(from), v.begin() + static_cast<int64_t>(to)};
+}
+
+TEST(LocalFsBlocksTest, ReadAcrossBlockBoundaries) {
+  BlockRig rig;
+  std::vector<uint8_t> payload = Pattern(3 * kBlockSize);
+  rig.Write(0, Pattern(3 * kBlockSize));
+  EXPECT_EQ(rig.Read(kBlockSize - 100, 300).data.ToVector(),
+            Slice(payload, kBlockSize - 100, kBlockSize + 200));
+  // Two boundaries, stopping at EOF.
+  proto::ReadRep rep = rig.Read(kBlockSize - 1, 3 * kBlockSize);
+  EXPECT_EQ(rep.data.ToVector(), Slice(payload, kBlockSize - 1, 3 * kBlockSize));
+  EXPECT_TRUE(rep.eof);
+}
+
+TEST(LocalFsBlocksTest, ShortLastBlockGrowsOnAppend) {
+  BlockRig rig;
+  std::vector<uint8_t> payload = Pattern(kBlockSize + 123);
+  EXPECT_EQ(rig.Write(0, Pattern(kBlockSize + 123)).size, kBlockSize + 123);
+  proto::ReadRep tail = rig.Read(kBlockSize, kBlockSize);
+  EXPECT_EQ(tail.data.ToVector(), Slice(payload, kBlockSize, kBlockSize + 123));
+  EXPECT_TRUE(tail.eof);
+  EXPECT_EQ(rig.Write(kBlockSize + 123, Bytes("xyz")).size, kBlockSize + 126);
+  std::vector<uint8_t> expected = Slice(payload, kBlockSize + 120, kBlockSize + 123);
+  expected.insert(expected.end(), {'x', 'y', 'z'});
+  EXPECT_EQ(rig.Read(kBlockSize + 120, kBlockSize).data.ToVector(), expected);
+}
+
+TEST(LocalFsBlocksTest, TruncateInsideABlockThenExtendReadsZeros) {
+  BlockRig rig;
+  std::vector<uint8_t> payload = Pattern(2 * kBlockSize);
+  rig.Write(0, Pattern(2 * kBlockSize));
+  EXPECT_EQ(rig.Truncate(kBlockSize + 100).size, kBlockSize + 100);
+  EXPECT_EQ(rig.Truncate(3 * kBlockSize).size, 3 * kBlockSize);
+  std::vector<uint8_t> expected = Slice(payload, 0, kBlockSize + 100);
+  expected.resize(3 * kBlockSize, 0);
+  EXPECT_EQ(rig.Read(0, 3 * kBlockSize).data.ToVector(), expected);
+  // The trimmed block alone: the bytes cut off do not come back.
+  EXPECT_EQ(rig.Read(kBlockSize, kBlockSize).data.ToVector(),
+            Slice(expected, kBlockSize, 2 * kBlockSize));
+}
+
+TEST(LocalFsBlocksTest, SparseWritePastEofLeavesAZeroGap) {
+  BlockRig rig;
+  rig.Write(0, Bytes("abc"));
+  std::vector<uint8_t> far = Pattern(100);
+  EXPECT_EQ(rig.Write(2 * kBlockSize + 50, Pattern(100)).size, 2 * kBlockSize + 150);
+  std::vector<uint8_t> expected(2 * kBlockSize + 150, 0);
+  std::copy_n("abc", 3, expected.begin());
+  std::copy(far.begin(), far.end(), expected.begin() + 2 * kBlockSize + 50);
+  EXPECT_EQ(rig.Read(0, 3 * kBlockSize).data.ToVector(), expected);
+  EXPECT_EQ(rig.Read(kBlockSize, kBlockSize).data.ToVector(),
+            std::vector<uint8_t>(kBlockSize, 0));
+}
+
+TEST(LocalFsBlocksTest, ReadReplyKeepsItsBytesAfterAnOverlappingWrite) {
+  BlockRig rig;
+  std::vector<uint8_t> before = Pattern(2 * kBlockSize, 1);
+  rig.Write(0, Pattern(2 * kBlockSize, 1));
+  proto::ReadRep block = rig.Read(0, kBlockSize);            // a slice of block 0
+  proto::ReadRep span = rig.Read(kBlockSize - 10, 20);       // assembled
+  rig.Write(5, Bytes("overwritten"));                        // part of block 0
+  rig.Write(kBlockSize - 5, Bytes("0123456789"));            // across the boundary
+  EXPECT_EQ(block.data.ToVector(), Slice(before, 0, kBlockSize));
+  EXPECT_EQ(span.data.ToVector(), Slice(before, kBlockSize - 10, kBlockSize + 10));
+  rig.Write(0, Pattern(kBlockSize, 2));                      // all of block 0
+  EXPECT_EQ(block.data.ToVector(), Slice(before, 0, kBlockSize));
+  EXPECT_EQ(rig.Read(0, kBlockSize).data.ToVector(), Pattern(kBlockSize, 2));
+}
+
+TEST(LocalFsBlocksTest, ReadsOfAnUnchangedBlockShareOneBuffer) {
+  BlockRig rig;
+  proto::Bytes first(Pattern(kBlockSize));
+  rig.Write(0, first);  // exactly one block: adopted, not copied
+  rig.Write(kBlockSize, Pattern(kBlockSize));
+  proto::ReadRep a = rig.Read(0, kBlockSize);
+  proto::ReadRep b = rig.Read(0, kBlockSize);
+  EXPECT_EQ(a.data.data(), first.data());
+  EXPECT_EQ(b.data.data(), a.data.data());
+  EXPECT_EQ(rig.Read(100, 50).data.data(), a.data.data() + 100);
+  EXPECT_NE(rig.Read(kBlockSize, kBlockSize).data.data(), a.data.data());
+  // A write replaces the block; later readers get the new buffer.
+  rig.Write(10, Bytes("x"));
+  EXPECT_NE(rig.Read(0, kBlockSize).data.data(), a.data.data());
+}
+
 TEST(LocalMountTest, DelayedWritesReachDiskOnlyAfterSync) {
   Rig rig;
   RUN_SIM(rig, {

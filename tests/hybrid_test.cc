@@ -243,7 +243,7 @@ TEST(HybridTest, LeaseExpiresDuringUpgradeOpen) {
     // callback; the 10 s lease expires and the daemon erases it mid-open.
     proto::WriteReq write;
     write.fh = fh;
-    write.data = {0x5A};
+    write.data = std::vector<uint8_t>{0x5A};
     (void)co_await hybrid.Handle(proto::Request(write), net::Address{77});
 
     EXPECT_EQ(hybrid.implicit_opens(), 2u);  // read open + upgrade open

@@ -382,7 +382,7 @@ TEST(NfsTest, ClientCrashDropsDelayedPartialBlock) {
       auto got = co_await fs.Read(found->fh, 0, 64);
       EXPECT_TRUE(got.ok());
       if (got.ok()) {
-        EXPECT_EQ(TestStr(got->data), "after-crash-data");
+        EXPECT_EQ(TestStr(got->data.ToVector()), "after-crash-data");
       }
     }
     done = true;

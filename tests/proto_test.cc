@@ -2,6 +2,8 @@
 // handles, and the metrics that aggregate them.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/metrics/op_counters.h"
 #include "src/metrics/table.h"
 #include "src/metrics/time_series.h"
@@ -49,11 +51,38 @@ TEST(ProtoTest, WireSizeIncludesHeadersAndScalesWithNames) {
 
 TEST(ProtoTest, ReadReplyWireSizeScalesWithData) {
   ReadRep small;
-  small.data.resize(10);
+  small.data = std::vector<uint8_t>(10);
   ReadRep big;
-  big.data.resize(4096);
+  big.data = std::vector<uint8_t>(4096);
   EXPECT_EQ(WireSize(Reply{base::OkStatus(), ReplyBody(big)}),
             WireSize(Reply{base::OkStatus(), ReplyBody(small)}) + 4086);
+}
+
+TEST(ProtoTest, BytesAdoptsItsVectorAndCopiesShareIt) {
+  std::vector<uint8_t> v = {1, 2, 3, 4, 5};
+  const uint8_t* storage = v.data();
+  Bytes bytes(std::move(v));
+  EXPECT_EQ(bytes.data(), storage);  // adopted, not copied
+  Bytes copy = bytes;
+  EXPECT_EQ(copy.data(), storage);  // a copy shares the buffer
+  EXPECT_EQ(bytes.ToVector(), (std::vector<uint8_t>{1, 2, 3, 4, 5}));
+  EXPECT_NE(bytes.ToVector().data(), storage);
+
+  Bytes middle = bytes.Slice(1, 3);
+  EXPECT_EQ(middle.data(), storage + 1);
+  EXPECT_EQ(middle.size(), 3u);
+  EXPECT_EQ(middle[0], 2);
+  EXPECT_EQ(middle, Bytes(std::vector<uint8_t>{2, 3, 4}));
+  EXPECT_FALSE(middle == bytes);
+  // Only a range over its whole buffer hands the buffer out.
+  EXPECT_EQ(bytes.Whole().get(), copy.Whole().get());
+  EXPECT_NE(bytes.Whole(), nullptr);
+  EXPECT_EQ(middle.Whole(), nullptr);
+
+  Bytes empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.begin(), empty.end());
+  EXPECT_EQ(empty, Bytes(std::vector<uint8_t>{}));
 }
 
 TEST(ProtoTest, FileHandleEqualityAndHashing) {

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "src/disk/disk.h"
+#include "src/fs/local_fs.h"
 #include "src/net/network.h"
 #include "src/proto/messages.h"
 #include "src/rpc/peer.h"
@@ -174,6 +176,79 @@ TEST(RpcTest, DuplicateRequestsExecuteExactlyOnce) {
   EXPECT_GT(rig.server.duplicates_suppressed(), 0u);
 }
 
+TEST(RpcTest, RetransmitAfterRewriteGetsTheOriginalReplyBytes) {
+  // The reply to a read is lost, and the file is rewritten before the
+  // client retransmits. The retransmit reaches the finished dup-cache entry,
+  // so it must get the reply as first sent: the bytes read before the
+  // rewrite, with no re-execution.
+  Rig rig;
+  disk::Disk disk{rig.simulator};
+  fs::LocalFs fs{rig.simulator, disk};
+  const std::vector<uint8_t> original(fs::kBlockSize, 0xAA);
+  proto::FileHandle fh;
+  rig.simulator.Spawn([](fs::LocalFs& fs, std::vector<uint8_t> bytes,
+                         proto::FileHandle& fh) -> sim::Task<void> {
+    auto file = co_await fs.Create(fs.root(), "f", /*exclusive=*/true);
+    CHECK(file.ok());
+    fh = file->fh;
+    CHECK((co_await fs.Write(fh, 0, std::move(bytes), fs::LocalFs::WriteMode::kMemory)).ok());
+  }(fs, original, fh));
+  rig.simulator.Run();
+
+  int executions = 0;
+  rig.server.set_handler(
+      // lint: coro-lambda-ok (handler and captures share the test scope)
+      [&executions, &rig, &fs](proto::Request request, net::Address) -> sim::Task<proto::Reply> {
+        ++executions;
+        const auto& req = std::get<proto::ReadReq>(request);
+        auto rep = co_await fs.Read(req.fh, req.offset, req.count);
+        CHECK(rep.ok());
+        if (executions == 1) {
+          // Lose the first reply: the client is unreachable until the rewrite.
+          rig.network.SetHostUp(rig.client.address(), false);
+        }
+        co_return proto::OkReply(std::move(*rep));
+      });
+  // Half a timeout later, rewrite the first half of the block and let the
+  // client's retransmit through.
+  rig.simulator.Spawn([](Rig& rig, fs::LocalFs& fs, proto::FileHandle fh) -> sim::Task<void> {
+    co_await sim::Sleep(rig.simulator, sim::Msec(500));
+    std::vector<uint8_t> rewrite(fs::kBlockSize / 2, 0xBB);
+    CHECK((co_await fs.Write(fh, 0, std::move(rewrite), fs::LocalFs::WriteMode::kMemory)).ok());
+    rig.network.SetHostUp(rig.client.address(), true);
+  }(rig, fs, fh));
+  proto::Bytes got;
+  rig.simulator.Spawn([](Rig& rig, proto::FileHandle fh, proto::Bytes& got) -> sim::Task<void> {
+    proto::ReadReq req;
+    req.fh = fh;
+    req.count = fs::kBlockSize;
+    CallOptions opts;
+    opts.timeout = sim::Sec(1);
+    auto rep = Expect<proto::ReadRep>(co_await rig.client.Call(rig.server.address(), req, opts));
+    CHECK(rep.ok());
+    got = rep->data;
+  }(rig, fh, got));
+  rig.simulator.Run();
+
+  EXPECT_EQ(executions, 1);
+  EXPECT_EQ(rig.client.retransmissions(), 1u);
+  EXPECT_EQ(rig.server.duplicates_suppressed(), 1u);
+  EXPECT_EQ(got.ToVector(), original);
+  // The file itself did change.
+  EXPECT_EQ(fs.GetAttr(fh)->size, fs::kBlockSize);
+  proto::Bytes now;
+  rig.simulator.Spawn([](fs::LocalFs& fs, proto::FileHandle fh, proto::Bytes& now)
+                          -> sim::Task<void> {
+    auto rep = co_await fs.Read(fh, 0, fs::kBlockSize);
+    CHECK(rep.ok());
+    now = rep->data;
+  }(fs, fh, now));
+  rig.simulator.Run();
+  ASSERT_EQ(now.size(), fs::kBlockSize);
+  EXPECT_EQ(now[0], 0xBB);
+  EXPECT_EQ(now[fs::kBlockSize - 1], 0xAA);
+}
+
 TEST(RpcTest, CallToDeadHostTimesOut) {
   Rig rig;
   rig.network.SetHostUp(rig.server.address(), false);
@@ -249,9 +324,9 @@ TEST(RpcTest, WorkerPoolBoundsConcurrency) {
 
 TEST(RpcTest, WireSizeScalesWithPayload) {
   proto::WriteReq small;
-  small.data.resize(100);
+  small.data = std::vector<uint8_t>(100);
   proto::WriteReq big;
-  big.data.resize(4096);
+  big.data = std::vector<uint8_t>(4096);
   EXPECT_GT(proto::WireSize(proto::Request(big)), proto::WireSize(proto::Request(small)) + 3900);
 }
 
