@@ -14,9 +14,13 @@
 // This is the one bench family whose headline numbers depend on wall-clock
 // time; everything else the repo measures is virtual. The JSON therefore
 // separates deterministic fields (events, work units, simulated seconds)
-// from machine-dependent ones (wall seconds, events/sec). Snapshots are
+// from machine-dependent ones (wall seconds, events/sec). One run of a load
+// swings widely on a shared host, so a full run repeats each load 5 times,
+// interleaved round-robin, and the wall fields report the median run with
+// the interquartile range of wall seconds beside it. Snapshots are
 // checked in at the repo root as BENCH_simperf.json per the ROADMAP's
 // perf-trajectory item; see EXPERIMENTS.md for how to read them.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -44,7 +48,10 @@ struct LoadResult {
   uint64_t events = 0;      // simulator events processed
   uint64_t work_units = 0;  // load-specific: timer hops, rounds, calls
   double sim_sec = 0;       // virtual time elapsed
-  double wall_sec = 0;      // host time elapsed (machine-dependent)
+  double wall_sec = 0;      // host time elapsed (machine-dependent): median
+  double wall_q1 = 0;       // interquartile range of wall_sec over the runs
+  double wall_q3 = 0;
+  int runs = 1;
 
   double events_per_sec() const { return wall_sec > 0 ? events / wall_sec : 0; }
   double sim_per_wall() const { return wall_sec > 0 ? sim_sec / wall_sec : 0; }
@@ -191,6 +198,35 @@ LoadResult RunRpcEcho(uint64_t calls_per_caller) {
   return r;
 }
 
+// --- repetitions --------------------------------------------------------------
+
+// Linear-interpolation quantile of an ascending sample.
+double Quantile(const std::vector<double>& sorted, double p) {
+  double pos = p * static_cast<double>(sorted.size() - 1);
+  size_t lo = static_cast<size_t>(pos);
+  size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+// Folds `runs` of one load into its median: the virtual fields must agree
+// run to run (the determinism contract), the wall time is summarized.
+LoadResult Summarize(const std::vector<LoadResult>& runs) {
+  LoadResult r = runs.front();
+  std::vector<double> walls;
+  for (const LoadResult& run : runs) {
+    CHECK_EQ(run.events, r.events);
+    CHECK_EQ(run.work_units, r.work_units);
+    CHECK_EQ(run.sim_sec, r.sim_sec);
+    walls.push_back(run.wall_sec);
+  }
+  std::sort(walls.begin(), walls.end());
+  r.wall_sec = Quantile(walls, 0.5);
+  r.wall_q1 = Quantile(walls, 0.25);
+  r.wall_q3 = Quantile(walls, 0.75);
+  r.runs = static_cast<int>(runs.size());
+  return r;
+}
+
 // --- output -----------------------------------------------------------------
 
 std::string JsonNum(double v) {
@@ -204,7 +240,10 @@ std::string LoadJson(const LoadResult& r) {
   out += "\"events\":" + std::to_string(r.events);
   out += ",\"work_units\":" + std::to_string(r.work_units);
   out += ",\"sim_elapsed_s\":" + JsonNum(r.sim_sec);
+  out += ",\"runs\":" + std::to_string(r.runs);
   out += ",\"wall_s\":" + JsonNum(r.wall_sec);
+  out += ",\"wall_s_q1\":" + JsonNum(r.wall_q1);
+  out += ",\"wall_s_q3\":" + JsonNum(r.wall_q3);
   out += ",\"events_per_sec\":" + JsonNum(r.events_per_sec());
   out += ",\"sim_s_per_wall_s\":" + JsonNum(r.sim_per_wall());
   out += "}";
@@ -227,24 +266,33 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-
   // Smoke sizes keep the whole binary under ~1s for scripts/check.sh; full
-  // sizes run each load long enough for stable events/sec.
+  // sizes run each load long enough, and often enough, for stable events/sec.
+  int runs = smoke ? 1 : 5;
   uint64_t timer_hops = smoke ? 50'000 : 2'000'000;
   uint64_t pingpong_rounds = smoke ? 20'000 : 500'000;  // per pair
   uint64_t echo_calls = smoke ? 2'000 : 50'000;         // per caller
 
-  std::printf("=== bench_simperf: raw simulator throughput ===\n\n");
+  std::printf("=== bench_simperf: raw simulator throughput (median of %d runs) ===\n\n",
+              runs);
+  std::vector<std::vector<LoadResult>> samples(3);
+  for (int run = 0; run < runs; ++run) {
+    samples[0].push_back(RunPureTimer(timer_hops));
+    samples[1].push_back(RunPingPong(pingpong_rounds));
+    samples[2].push_back(RunRpcEcho(echo_calls));
+  }
   std::vector<LoadResult> results;
-  results.push_back(RunPureTimer(timer_hops));
-  results.push_back(RunPingPong(pingpong_rounds));
-  results.push_back(RunRpcEcho(echo_calls));
+  for (const std::vector<LoadResult>& load : samples) {
+    results.push_back(Summarize(load));
+  }
 
-  Table t({"Load", "Events", "Work units", "Sim s", "Wall s", "Events/s", "Sim s/wall s"});
+  Table t({"Load", "Events", "Work units", "Sim s", "Wall s", "Wall IQR", "Events/s",
+           "Sim s/wall s"});
   for (const LoadResult& r : results) {
     t.AddRow({r.name, Table::Int(r.events), Table::Int(r.work_units), Table::Num(r.sim_sec, 2),
-              Table::Num(r.wall_sec, 3), Table::Num(r.events_per_sec(), 0),
-              Table::Num(r.sim_per_wall(), 1)});
+              Table::Num(r.wall_sec, 3),
+              Table::Num(r.wall_q1, 3) + "-" + Table::Num(r.wall_q3, 3),
+              Table::Num(r.events_per_sec(), 0), Table::Num(r.sim_per_wall(), 1)});
   }
   t.Print();
 

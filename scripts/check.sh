@@ -14,12 +14,11 @@
 #  5. ASan/UBSan: rebuild under -fsanitize=address,undefined (the `asan`
 #     CMake preset) and run fault_injection_test — the crash/restart and
 #     fault-injection paths are where lifetime bugs (coroutines outliving
-#     peers, use-after-free on restart) would hide — plus sim_test, the
-#     simulator kernel's own tests, and proto_test, the shared payload type,
-#     both with leak detection on; fleet_test and workload_test, which build
-#     the rig as a fleet and as the classic single-server layout; nfs_test,
-#     snfs_test and consistency_test, which drive every protocol's server
-#     dispatch; and network_test, which moves shared payloads end to end.
+#     peers, use-after-free on restart) would hide — and every other test
+#     binary. sim_test (the simulator kernel), proto_test (the shared payload
+#     type), sync_test, state_table_test, disk_test, vfs_test and
+#     metrics_test run with leak detection on; the protocol rigs, whose
+#     parked coroutine frames outlive the Simulator, run with it off.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,12 +49,15 @@ if [ "$lock_lines" -lt 1 ]; then
   exit 1
 fi
 
-echo "== trace checker: one fault-sweep seed with causal-trace validation =="
+echo "== trace checker: the 20-seed fault sweep with causal-trace validation =="
 # Records every cell of the sweep — all five fault profiles by all three
 # protocols (NFS, SNFS, NQNFS) — and runs the stale-read / concurrent-dirty /
 # retransmit-once / lease-invariant checker over the trace; any violation
-# aborts the cell.
-./build/bench/bench_fault_sweep --trace-check --seeds=1 >/dev/null
+# fails the run. The table is deterministic and pinned byte for byte.
+fault_sweep_tmp=$(mktemp)
+./build/bench/bench_fault_sweep --trace-check --seeds=20 > "$fault_sweep_tmp"
+diff bench/baselines/bench_fault_sweep_stdout.txt "$fault_sweep_tmp"
+rm -f "$fault_sweep_tmp"
 
 echo "== simperf smoke: simulator hot path still runs all three loads =="
 ./build/bench/bench_simperf --smoke >/dev/null
@@ -91,6 +93,12 @@ diff <(grep -v '^wrote ' bench/baselines/bench_andrew_stdout.txt) \
      <(grep -v '^wrote ' "$baseline_tmp/andrew_stdout.txt")
 diff <(grep -v '^wrote ' bench/baselines/bench_sort_stdout.txt) \
      <(grep -v '^wrote ' "$baseline_tmp/sort_stdout.txt")
+# The remaining paper tables (ablations, reopen recovery, client scaling,
+# server load, sort without delayed writes, state-table sizing) print no
+# JSON; their stdout is pinned whole.
+for bench in ablation reopen scaling server_load sort_nodelay state_table; do
+  diff "bench/baselines/bench_${bench}_stdout.txt" <("./build/bench/bench_${bench}")
+done
 # The full-size fleet sweep (scaling, metadata tier, protocol rows, and the
 # FaultSchedule-driven shard-crash and cache-down rows) is deterministic
 # too: its JSON must match the checked-in snapshot byte for byte.
@@ -112,21 +120,27 @@ else
   echo "== clang-tidy not installed; skipping =="
 fi
 
-echo "== sanitizers: ASan/UBSan on the fault harness =="
+echo "== sanitizers: ASan/UBSan on every test binary =="
 cmake --preset asan
 # fs_test and hybrid_test carry the stale-pointer regressions (remove racing
 # a suspended create/read, lease expiry mid-upgrade): their bugs only show
 # as use-after-free, so they run under the sanitizers too.
 cmake --build build-asan -j --target fault_injection_test rpc_test recovery_test \
   fs_test hybrid_test nqnfs_test fleet_test workload_test sim_test nfs_test snfs_test \
-  consistency_test proto_test network_test
-# The simulator kernel owns the event arena, the future/promise shared state
-# and its take-once move-out; its tests leave no coroutine frame suspended at
-# teardown, so they run leak-checked.
+  consistency_test proto_test network_test sync_test state_table_test disk_test vfs_test \
+  metrics_test sweep_test trace_test
+# The simulator kernel owns the event arena, cancellable timers, the
+# future/promise shared state and its take-once move-out; its tests leave no
+# coroutine frame suspended at teardown, so they run leak-checked.
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/sim_test
 # proto::Bytes shares one buffer between copies and slices; the protocol
 # vocabulary tests spawn no coroutines, so they run leak-checked too.
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/proto_test
+# The sync primitives, SNFS state table, disk model, VFS layer and metrics
+# also leave nothing parked at teardown.
+for leak_checked in sync_test state_table_test disk_test vfs_test metrics_test; do
+  ASAN_OPTIONS=detect_leaks=1 "./build-asan/tests/${leak_checked}"
+done
 # Leak detection stays off for the protocol stacks: coroutine frames still
 # suspended when a Simulator is torn down (parked daemons and receive loops)
 # are reported as leaks. ASan/UBSan still catch use-after-free, heap
@@ -158,5 +172,9 @@ export ASAN_OPTIONS=detect_leaks=0
 # rig sends them through the network and back. Its peers' receive loops and
 # workers are still parked at teardown, hence no leak check.
 ./build-asan/tests/network_test
+# The seed-sweep driver and the trace recorder/checker run whole protocol
+# rigs, whose parked coroutine frames are reported as leaks at teardown.
+./build-asan/tests/sweep_test
+./build-asan/tests/trace_test
 
 echo "All checks passed."

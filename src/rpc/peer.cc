@@ -121,19 +121,16 @@ sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Reques
     env.request = request;  // copy retained for retransmission
     SendEnvelope(dst, std::move(env));
 
-    // The timeout races the reply for the promise. It stays scheduled after
-    // the reply wins (events cannot be cancelled, and trailing timeouts set
-    // when Run() returns) but then does nothing.
-    simulator_.Schedule(timeout, [promise]() mutable {
-      if (promise.IsSet()) {
-        return;
-      }
-      promise.TrySet(proto::ErrorReply(base::ErrTimedOut()));
-    });
+    // The timeout races the reply for the promise.
+    sim::Simulator::TimerHandle timer = simulator_.ScheduleTimer(
+        timeout, [promise]() mutable { promise.TrySet(proto::ErrorReply(base::ErrTimedOut())); });
 
     // Sole consumer of this attempt's promise: take the reply rather than
-    // copy it, so the state the timeout closure keeps alive holds no payload.
+    // copy it. Once anything has won, the timer is cancelled (a no-op if it
+    // fired): its closure and the promise state go now, while the skipped
+    // event still holds Run() open until the timeout's virtual time.
     proto::Reply reply = co_await promise.GetFuture().Take();
+    simulator_.Cancel(timer);
     if (reply.status != base::ErrTimedOut()) {
       pending_.erase(xid);
       co_await cpu_.Run(PayloadCost(proto::WireSize(reply)));

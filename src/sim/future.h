@@ -2,8 +2,11 @@
 //
 // A Promise may be fulfilled at most once; TrySet is idempotent and reports
 // whether this call won. This is the primitive behind RPC timeouts: the
-// reply path and the timeout event race to TrySet the same promise, and the
-// loser's value is discarded.
+// reply path and a cancellable timeout timer race to TrySet the same
+// promise. When the reply wins, the caller cancels the timer, which drops
+// its closure (and its hold on the promise state) without running it; when
+// the timer wins, a later TrySet on that promise loses and its value is
+// discarded.
 //
 // Future and Promise share state via shared_ptr and are freely copyable.
 // Awaiting a Future copies the value out, so several waiters can share one
@@ -49,8 +52,6 @@ class Promise {
   }
 
   void Set(T value) { CHECK(TrySet(std::move(value))); }
-
-  bool IsSet() const { return state_->value.has_value(); }
 
  private:
   friend class Future<T>;

