@@ -27,7 +27,7 @@ using fault::SeedStats;
 using fault::SweepOptions;
 using fault::SweepResult;
 using metrics::Table;
-using testbed::ServerProtocol;
+using testbed::Protocol;
 
 // --seeds=N overrides; --trace-check records a causal trace per seed and
 // runs trace::CheckTrace over it (violations fail the seed like any other
@@ -96,7 +96,7 @@ struct CellResult {
   double ops_ok = 0;
 };
 
-CellResult RunCell(const Mix& mix, ServerProtocol protocol) {
+CellResult RunCell(const Mix& mix, Protocol protocol) {
   SweepOptions options = mix.options;
   options.protocol = protocol;
   options.trace_check = g_trace_check;
@@ -151,14 +151,11 @@ int main(int argc, char** argv) {
                "retrans/seed", "dup supp/seed", "stale dropped"});
   bool all_ok = true;
   for (const Mix& mix : FaultMixes()) {
-    for (ServerProtocol protocol :
-         {ServerProtocol::kNfs, ServerProtocol::kSnfs, ServerProtocol::kNqnfs}) {
+    for (Protocol protocol :
+         {Protocol::kNfs, Protocol::kSnfs, Protocol::kNqnfs}) {
       CellResult cell = RunCell(mix, protocol);
       all_ok = all_ok && cell.ok;
-      table.AddRow({mix.name,
-                    protocol == ServerProtocol::kNfs
-                        ? "NFS"
-                        : protocol == ServerProtocol::kSnfs ? "SNFS" : "NQNFS",
+      table.AddRow({mix.name, std::string(testbed::ProtocolName(protocol)),
                     cell.ok ? "yes" : "NO: " + cell.detail, Table::Num(cell.ops_ok, 0),
                     cell.recovery_s >= 0 ? Table::Seconds(cell.recovery_s) : "-",
                     Table::Num(cell.retrans, 1), Table::Num(cell.dup_suppressed, 1),

@@ -19,8 +19,8 @@
 namespace {
 
 using testbed::ClientMachine;
+using testbed::Protocol;
 using testbed::ServerMachine;
-using testbed::ServerProtocol;
 
 // One client's workload: an edit-compile loop (read sources, burn CPU,
 // write objects and short-lived temporaries, delete the temporaries).
@@ -54,14 +54,14 @@ struct ScalePoint {
   double server_utilization = 0;
 };
 
-ScalePoint RunScale(ServerProtocol protocol, int num_clients) {
+ScalePoint RunScale(Protocol protocol, int num_clients) {
   sim::Simulator simulator;
   net::Network network(simulator, {});
   ServerMachine server(simulator, network, "server", protocol);
   std::vector<std::unique_ptr<ClientMachine>> clients;
   for (int i = 0; i < num_clients; ++i) {
     auto c = std::make_unique<ClientMachine>(simulator, network, "c" + std::to_string(i));
-    if (protocol == ServerProtocol::kNfs) {
+    if (protocol == Protocol::kNfs) {
       c->MountNfs("/data", server.address(), server.root());
     } else {
       c->MountSnfs("/data", server.address(), server.root());
@@ -115,8 +115,8 @@ int main() {
   double snfs1 = 0;
   double snfs16 = 0;
   for (int n : kClients) {
-    ScalePoint nfs = RunScale(ServerProtocol::kNfs, n);
-    ScalePoint snfs = RunScale(ServerProtocol::kSnfs, n);
+    ScalePoint nfs = RunScale(Protocol::kNfs, n);
+    ScalePoint snfs = RunScale(Protocol::kSnfs, n);
     if (n == 1) {
       nfs1 = nfs.mean_completion_s;
       snfs1 = snfs.mean_completion_s;

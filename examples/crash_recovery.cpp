@@ -9,8 +9,8 @@
 #include "src/testbed/machine.h"
 
 using testbed::ClientMachine;
+using testbed::Protocol;
 using testbed::ServerMachine;
-using testbed::ServerProtocol;
 
 namespace {
 
@@ -33,7 +33,7 @@ int main() {
   testbed::ServerMachineParams server_params;
   server_params.snfs.enable_recovery = true;
   server_params.snfs.recovery_grace = sim::Sec(15);
-  ServerMachine server(simulator, network, "server", ServerProtocol::kSnfs, server_params);
+  ServerMachine server(simulator, network, "server", Protocol::kSnfs, server_params);
 
   snfs::SnfsClientParams client_params;
   client_params.enable_recovery = true;

@@ -10,8 +10,8 @@
 #include "src/testbed/machine.h"
 
 using testbed::ClientMachine;
+using testbed::Protocol;
 using testbed::ServerMachine;
-using testbed::ServerProtocol;
 
 namespace {
 
@@ -26,7 +26,7 @@ int main() {
   net::Network network(simulator, net::NetworkParams{});
 
   // A file server speaking the SNFS protocol and two diskless clients.
-  ServerMachine server(simulator, network, "server", ServerProtocol::kSnfs);
+  ServerMachine server(simulator, network, "server", Protocol::kSnfs);
   ClientMachine alice(simulator, network, "alice");
   ClientMachine bob(simulator, network, "bob");
   snfs::SnfsClient& alice_fs = alice.MountSnfs("/data", server.address(), server.root());

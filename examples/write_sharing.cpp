@@ -10,8 +10,8 @@
 #include "src/testbed/machine.h"
 
 using testbed::ClientMachine;
+using testbed::Protocol;
 using testbed::ServerMachine;
-using testbed::ServerProtocol;
 
 namespace {
 
@@ -54,7 +54,7 @@ int main() {
   {
     sim::Simulator simulator;
     net::Network network(simulator, {});
-    ServerMachine server(simulator, network, "server", ServerProtocol::kNfs);
+    ServerMachine server(simulator, network, "server", Protocol::kNfs);
     ClientMachine writer(simulator, network, "writer");
     ClientMachine reader(simulator, network, "reader");
     writer.MountNfs("/data", server.address(), server.root());
@@ -70,7 +70,7 @@ int main() {
   {
     sim::Simulator simulator;
     net::Network network(simulator, {});
-    ServerMachine server(simulator, network, "server", ServerProtocol::kSnfs);
+    ServerMachine server(simulator, network, "server", Protocol::kSnfs);
     ClientMachine writer(simulator, network, "writer");
     ClientMachine reader(simulator, network, "reader");
     writer.MountSnfs("/data", server.address(), server.root());

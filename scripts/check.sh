@@ -51,9 +51,12 @@ fi
 
 echo "== trace checker: the 20-seed fault sweep with causal-trace validation =="
 # Records every cell of the sweep — all five fault profiles by all three
-# protocols (NFS, SNFS, NQNFS) — and runs the stale-read / concurrent-dirty /
-# retransmit-once / lease-invariant checker over the trace; any violation
-# fails the run. The table is deterministic and pinned byte for byte.
+# protocols (NFS, SNFS, NQNFS), each on a testbed::Rig with one server and
+# two clients — and runs the stale-read / concurrent-dirty / retransmit-once
+# / lease-invariant checker over the trace, its per-file rules keyed by
+# (fsid, fileid); any violation fails the run. The table is deterministic
+# and pinned byte for byte. The fleet cells (two shards, shard and client
+# crashes, the metadata cache going down) run in fault_injection_test.
 fault_sweep_tmp=$(mktemp)
 ./build/bench/bench_fault_sweep --trace-check --seeds=20 > "$fault_sweep_tmp"
 diff bench/baselines/bench_fault_sweep_stdout.txt "$fault_sweep_tmp"

@@ -152,7 +152,8 @@ void BufferCache::NoteDirtyTransition(const FileKey& fk, bool was_dirty) {
     return;
   }
   recorder->Instant(now_dirty ? "cache.file_dirty" : "cache.file_clean", backing.trace_machine,
-                    "scope=" + backing.trace_name + " file=" + std::to_string(fk.fileid));
+                    "scope=" + backing.trace_name + " fsid=" + std::to_string(backing.trace_fsid) +
+                        " file=" + std::to_string(fk.fileid));
 }
 
 void BufferCache::MarkDirty(const Key& key, Entry& entry) {

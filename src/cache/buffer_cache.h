@@ -78,9 +78,11 @@ struct Backing {
                                               std::vector<uint8_t> data)>
       store;
   // Trace attribution (src/trace). Empty trace_name = untraced mount; the
-  // SNFS client sets "snfs" so the trace checker can watch its dirty files.
+  // SNFS client sets "snfs" so the trace checker can watch its dirty files,
+  // and trace_fsid so it tells one fileid on two shards apart.
   std::string trace_name;
   int trace_machine = -1;
+  uint32_t trace_fsid = 0;
 };
 
 struct CacheStats {

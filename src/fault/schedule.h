@@ -1,7 +1,7 @@
 // FaultSchedule: a declarative script of crash/restart points for the
 // machines in a testbed, at exact simulated times. The schedule itself is
 // pure data (so it can live below the testbed in the dependency graph);
-// testbed::ApplyFaultSchedule interprets it against real machines — any
+// testbed::Rig::ApplyFaultSchedule interprets it against real machines — any
 // shard of a fleet, any client, the metadata cache — including "crash
 // mid-RPC-handler" via rpc::Peer's worker hook.
 #ifndef SRC_FAULT_SCHEDULE_H_

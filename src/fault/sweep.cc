@@ -11,7 +11,6 @@
 #include "src/sim/simulator.h"
 #include "src/snfs/server.h"
 #include "src/snfs/state_table.h"
-#include "src/testbed/fault_runner.h"
 #include "src/trace/checker.h"
 #include "src/trace/trace.h"
 #include "src/vfs/vfs.h"
@@ -29,6 +28,7 @@ struct FileOracle {
 
 struct SeedRun {
   const SweepOptions* options = nullptr;
+  testbed::Rig* rig = nullptr;
   SeedStats stats;
   sim::Time last_reboot = -1;  // schedule's last kRebootServer, for latency
   std::vector<std::vector<FileOracle>> oracles;  // [client][file]
@@ -43,8 +43,11 @@ void Fail(SeedRun& run, std::string why) {
   }
 }
 
-std::string FilePath(int client, int file) {
-  return "/data/c" + std::to_string(client) + "_f" + std::to_string(file);
+int ShardOf(const SeedRun& run, int file) { return file % run.rig->num_shards(); }
+
+std::string FilePath(const SeedRun& run, int client, int file) {
+  return run.rig->shard_mount(ShardOf(run, file)) + "/c" + std::to_string(client) + "_f" +
+         std::to_string(file);
 }
 
 // `committed_before` must be captured before the read was issued: the
@@ -74,9 +77,10 @@ void VerifyBlock(SeedRun& run, const std::vector<uint8_t>& data, uint64_t commit
   }
 }
 
-sim::Task<void> ClientWorkload(sim::Simulator& simulator, SeedRun& run,
-                               testbed::ClientMachine& machine, int index, uint64_t seed) {
+sim::Task<void> ClientWorkload(SeedRun& run, int index, uint64_t seed) {
   const SweepOptions& opt = *run.options;
+  sim::Simulator& simulator = run.rig->simulator();
+  testbed::ClientMachine& machine = run.rig->client(index);
   sim::Rng rng(seed * 1000 + static_cast<uint64_t>(index) + 1);
   // Oracles are sized once in RunFaultSeed and never resized, so references
   // into them stay valid across suspensions.
@@ -90,7 +94,7 @@ sim::Task<void> ClientWorkload(sim::Simulator& simulator, SeedRun& run,
     }
     int f = static_cast<int>(rng.UniformInt(0, opt.files_per_client - 1));
     FileOracle& oracle = files[f];  // lint: await-stale-ref-ok (never resized)
-    std::string path = FilePath(index, f);
+    std::string path = FilePath(run, index, f);
     vfs::Vfs& vfs = machine.vfs();
     ++run.stats.ops_attempted;
     bool ok = false;
@@ -150,51 +154,67 @@ sim::Task<void> ClientWorkload(sim::Simulator& simulator, SeedRun& run,
   }
 }
 
-void CheckDupBound(SeedRun& run, rpc::Peer& peer, size_t cap, const std::string& who) {
+void CheckDupBound(SeedRun& run, rpc::Peer& peer, size_t cap) {
   size_t size = peer.dup_cache_size();
   size_t in_progress = peer.dup_cache_in_progress();
   if (size > cap + in_progress) {
-    Fail(run, who + " dup cache over bound: " + std::to_string(size) + " entries, cap " +
+    Fail(run, peer.name() + " dup cache over bound: " + std::to_string(size) + " entries, cap " +
                   std::to_string(cap) + " + " + std::to_string(in_progress) + " in progress");
   }
 }
 
-sim::Task<void> InvariantChecker(
-    sim::Simulator& simulator, SeedRun& run, testbed::ServerMachine& server,
-    std::vector<std::unique_ptr<testbed::ClientMachine>>& clients) {
+// Every RPC endpoint in the rig, with the duplicate-cache capacity it was
+// configured with.
+std::vector<std::pair<rpc::Peer*, size_t>> Peers(testbed::Rig& rig, const SweepOptions& opt) {
+  std::vector<std::pair<rpc::Peer*, size_t>> peers;
+  for (int s = 0; s < rig.num_shards(); ++s) {
+    peers.emplace_back(&rig.shard(s).peer(), opt.server.peer.dup_cache_entries);
+  }
+  if (rig.meta_cache() != nullptr) {
+    peers.emplace_back(&rig.meta_cache()->peer(), opt.fleet.meta.peer.dup_cache_entries);
+  }
+  for (int i = 0; i < rig.num_clients(); ++i) {
+    peers.emplace_back(&rig.client(i).peer(), opt.client.peer.dup_cache_entries);
+  }
+  return peers;
+}
+
+sim::Task<void> InvariantChecker(SeedRun& run) {
   const SweepOptions& opt = *run.options;
-  while (simulator.Now() < opt.horizon) {
-    co_await sim::Sleep(simulator, opt.check_interval);
+  testbed::Rig& rig = *run.rig;
+  while (rig.simulator().Now() < opt.horizon) {
+    co_await sim::Sleep(rig.simulator(), opt.check_interval);
     ++run.stats.invariant_checks;
-    CheckDupBound(run, server.peer(), opt.server.peer.dup_cache_entries, "server");
-    for (const auto& client : clients) {
-      CheckDupBound(run, client->peer(), opt.client.peer.dup_cache_entries, client->name());
+    for (auto [peer, cap] : Peers(rig, opt)) {
+      CheckDupBound(run, *peer, cap);
     }
-    if (server.peer().running() && server.snfs_server() != nullptr) {
-      // CHECK-aborts on violation; runs after every callback round because
-      // the tick interleaves with handler completions.
-      server.snfs_server()->state_table().CheckInvariants();
+    for (int s = 0; s < rig.num_shards(); ++s) {
+      testbed::ServerMachine& server = rig.shard(s);
+      if (server.peer().running() && server.snfs_server() != nullptr) {
+        // CHECK-aborts on violation; runs after every callback round because
+        // the tick interleaves with handler completions.
+        server.snfs_server()->state_table().CheckInvariants();
+      }
     }
   }
 }
 
-// Strict end-of-run oracle: with the world quiesced and the server up,
-// every file that ever committed a version must read back as a uniform
+// Strict end-of-run oracle: with the world quiesced, every file that ever
+// committed a version and whose shard is up must read back as a uniform
 // fill in [committed, written_max].
-sim::Task<void> FinalReadback(sim::Simulator& simulator, SeedRun& run,
-                              testbed::ServerMachine& server, testbed::ClientMachine& machine,
-                              int index) {
-  if (!server.peer().running() || !machine.started()) {
-    co_return;  // the schedule left this pair down; nothing to assert
+sim::Task<void> FinalReadback(SeedRun& run, int index) {
+  testbed::ClientMachine& machine = run.rig->client(index);
+  if (!machine.started()) {
+    co_return;  // the schedule left this client down; nothing to assert
   }
   const SweepOptions& opt = *run.options;
   for (int f = 0; f < opt.files_per_client; ++f) {
     FileOracle& oracle = run.oracles[index][f];  // lint: await-stale-ref-ok (never resized)
-    if (oracle.committed == 0) {
+    if (oracle.committed == 0 || !run.rig->shard(ShardOf(run, f)).peer().running()) {
       continue;
     }
     uint64_t committed_before = oracle.committed;
-    std::string path = FilePath(index, f);
+    std::string path = FilePath(run, index, f);
     auto data = co_await machine.vfs().ReadFile(path);
     if (!data.ok()) {
       Fail(run, "final read-back of committed file " + path + " failed");
@@ -211,7 +231,7 @@ SeedStats RunFaultSeed(const SweepOptions& options, uint64_t seed) {
   SeedRun run;
   run.options = &options;
   run.stats.seed = seed;
-  run.oracles.assign(static_cast<size_t>(options.num_clients),
+  run.oracles.assign(static_cast<size_t>(options.fleet.clients),
                      std::vector<FileOracle>(static_cast<size_t>(options.files_per_client)));
   for (const FaultEvent& ev : options.schedule.events) {
     if (ev.kind == FaultEventKind::kRebootServer) {
@@ -219,49 +239,33 @@ SeedStats RunFaultSeed(const SweepOptions& options, uint64_t seed) {
     }
   }
 
-  sim::Simulator simulator;
-  net::NetworkParams net_params = options.network;
+  testbed::RigOptions rig_options = options;
   if (options.plan.enabled()) {
     auto plan = std::make_shared<FaultPlan>(options.plan);
     plan->seed = seed;  // each sweep seed replays its own fault sequence
-    net_params.faults = std::move(plan);
+    rig_options.network.faults = std::move(plan);
   }
-  net::Network network(simulator, net_params, /*seed=*/11);
+  testbed::Rig rig(std::move(rig_options));
+  run.rig = &rig;
+  sim::Simulator& simulator = rig.simulator();
 
-  // Install the recorder before any machine exists so span ids are assigned
-  // identically on every replay of this (options, seed) pair.
+  // Install the recorder once the rig is built, so every replay of this
+  // (options, seed) pair records the same events under the same span ids.
   std::unique_ptr<trace::Recorder> recorder;
   if (options.trace_check) {
     recorder = std::make_unique<trace::Recorder>(simulator);
     trace::SetActive(recorder.get());
   }
 
-  testbed::ServerMachine server(simulator, network, "server", options.protocol, options.server);
-  std::vector<std::unique_ptr<testbed::ClientMachine>> clients;
-  std::vector<testbed::ClientMachine*> client_ptrs;
-  for (int i = 0; i < options.num_clients; ++i) {
-    clients.push_back(std::make_unique<testbed::ClientMachine>(
-        simulator, network, "client" + std::to_string(i), options.client));
-    client_ptrs.push_back(clients.back().get());
+  rig.ApplyFaultSchedule(options.schedule);
+  for (int i = 0; i < rig.num_clients(); ++i) {
+    simulator.Spawn(ClientWorkload(run, i, seed));
   }
-  server.Start();
-  for (auto& client : clients) {
-    client->Start();
-  }
-  for (auto& client : clients) {
-    client->MountRemote(options.protocol, "/data", server.address(), server.root(), options);
-  }
-
-  testbed::ApplyFaultSchedule(simulator, network, {&server}, /*cache=*/nullptr, client_ptrs,
-                              options.schedule);
-  for (int i = 0; i < options.num_clients; ++i) {
-    simulator.Spawn(ClientWorkload(simulator, run, *clients[i], i, seed));
-  }
-  simulator.Spawn(InvariantChecker(simulator, run, server, clients));
+  simulator.Spawn(InvariantChecker(run));
   simulator.RunUntil(options.horizon);
 
-  for (int i = 0; i < options.num_clients; ++i) {
-    simulator.Spawn(FinalReadback(simulator, run, server, *clients[i], i));
+  for (int i = 0; i < rig.num_clients(); ++i) {
+    simulator.Spawn(FinalReadback(run, i));
   }
   simulator.RunUntil(options.horizon + options.drain);
 
@@ -275,16 +279,13 @@ SeedStats RunFaultSeed(const SweepOptions& options, uint64_t seed) {
     }
   }
 
-  run.stats.retransmissions = server.peer().retransmissions();
-  run.stats.duplicates_suppressed = server.peer().duplicates_suppressed();
-  run.stats.stale_replies_dropped = server.peer().stale_replies_dropped();
-  for (auto& client : clients) {
-    run.stats.retransmissions += client->peer().retransmissions();
-    run.stats.duplicates_suppressed += client->peer().duplicates_suppressed();
-    run.stats.stale_replies_dropped += client->peer().stale_replies_dropped();
+  for (auto [peer, cap] : Peers(rig, options)) {
+    run.stats.retransmissions += peer->retransmissions();
+    run.stats.duplicates_suppressed += peer->duplicates_suppressed();
+    run.stats.stale_replies_dropped += peer->stale_replies_dropped();
   }
-  run.stats.packets_dropped = network.packets_dropped();
-  run.stats.packets_duplicated = network.packets_duplicated();
+  run.stats.packets_dropped = rig.network().packets_dropped();
+  run.stats.packets_duplicated = rig.network().packets_duplicated();
   return std::move(run.stats);
 }
 

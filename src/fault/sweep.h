@@ -5,15 +5,20 @@
 //  * data integrity — every readable block is a uniform fill whose version
 //    lies between the last fsync-committed version and the newest written
 //    version of that file (single-writer files make the oracle exact);
-//  * duplicate-cache bound — the server's cache never exceeds its
-//    configured capacity by more than the number of in-progress entries;
-//  * state-table invariants — snfs::StateTable::CheckInvariants() on a
-//    periodic tick (SNFS only; it CHECK-aborts on violation);
+//  * duplicate-cache bound — no peer's cache (every shard, every client,
+//    the metadata cache) exceeds its configured capacity by more than the
+//    number of in-progress entries;
+//  * state-table invariants — snfs::StateTable::CheckInvariants() on every
+//    running shard, on a periodic tick (SNFS only; it CHECK-aborts on
+//    violation);
 //  * no ghost replies — replies computed by a crashed server generation
 //    are dropped, never sent (counted via Peer::stale_replies_dropped).
 //
-// Each seed gets its own simulator, network, machines, fault-injector RNG
-// stream, and workload RNG streams, so a failing seed replays exactly.
+// The workload runs on a testbed::Rig built from the options' topology: the
+// default is one server and two clients, and `fleet` adds shards and the
+// metadata cache. Client i's file f lives on shard f % shards. Each seed
+// gets its own rig, fault-injector RNG stream and workload RNG streams, so a
+// failing seed replays exactly.
 #ifndef SRC_FAULT_SWEEP_H_
 #define SRC_FAULT_SWEEP_H_
 
@@ -23,19 +28,15 @@
 
 #include "src/fault/plan.h"
 #include "src/fault/schedule.h"
-#include "src/net/network.h"
-#include "src/nfs/client.h"
-#include "src/nqnfs/client.h"
 #include "src/sim/time.h"
-#include "src/snfs/client.h"
-#include "src/testbed/machine.h"
+#include "src/testbed/rig.h"
 
 namespace fault {
 
-// The inherited nfs / snfs / nqnfs members configure the clients.
-struct SweepOptions : testbed::ClientProtocolParams {
-  testbed::ServerProtocol protocol = testbed::ServerProtocol::kSnfs;
-  int num_clients = 2;
+// The inherited RigOptions give the protocol, the topology (`fleet`; two
+// clients by default) and the machine and network parameters. `plan`
+// replaces `network.faults`, re-seeded per run.
+struct SweepOptions : testbed::RigOptions {
   int files_per_client = 3;
   sim::Duration horizon = sim::Sec(90);      // workload runs until this time
   sim::Duration drain = sim::Sec(120);       // extra time for final read-back
@@ -47,15 +48,13 @@ struct SweepOptions : testbed::ClientProtocolParams {
   // Scripted crash/restart points, identical across seeds.
   FaultSchedule schedule;
 
-  net::NetworkParams network;
-  testbed::ServerMachineParams server;
-  testbed::ClientMachineParams client;
-
   // Record a causal trace of the whole run and validate it with
   // trace::CheckTrace; violations fail the seed like any other invariant.
   bool trace_check = false;
 
   SweepOptions() {
+    protocol = testbed::Protocol::kSnfs;
+    fleet.clients = 2;
     // Recovery on by default: the sweep exists to exercise the crash paths.
     server.snfs.enable_recovery = true;
     server.snfs.recovery_grace = sim::Sec(8);
@@ -79,14 +78,15 @@ struct SeedStats {
   uint64_t trace_events = 0;      // events recorded (0 unless trace_check)
   uint64_t trace_violations = 0;  // checker findings (first one fails the seed)
 
-  uint64_t retransmissions = 0;        // summed over all peers
-  uint64_t duplicates_suppressed = 0;  // summed over all peers
-  uint64_t stale_replies_dropped = 0;  // summed over all peers
+  // Summed over all peers: every shard, every client, the metadata cache.
+  uint64_t retransmissions = 0;
+  uint64_t duplicates_suppressed = 0;
+  uint64_t stale_replies_dropped = 0;
   uint64_t packets_dropped = 0;        // network (loss + partitions + down hosts)
   uint64_t packets_duplicated = 0;     // network (fault injector)
 
   // First successful operation completion after the schedule's last server
-  // reboot, relative to that reboot; -1 if the schedule has no reboot or no
+  // reboot (of any shard), relative to that reboot; -1 if the schedule has no reboot or no
   // operation succeeded afterwards.
   sim::Duration recovery_latency = -1;
 };

@@ -48,6 +48,7 @@ RemoteClient::RemoteClient(sim::Simulator& simulator, rpc::Peer& peer, net::Addr
   };
   backing.trace_name = protocol_;
   backing.trace_machine = peer_.address().host;
+  backing.trace_fsid = fsid();
   mount_id_ = cache_.RegisterMount(std::move(backing));
 }
 
@@ -277,7 +278,7 @@ sim::Task<base::Result<std::vector<uint8_t>>> RemoteClient::CachedRead(NodeRef n
                                                                        uint64_t offset,
                                                                        uint32_t count) {
   TRACE_INSTANT(protocol_ + ".read_observe", peer_.address().host,
-                "file=" + std::to_string(node->fh.fileid) +
+                TraceFileArgs(node->fh.fileid) +
                     " version=" + std::to_string(node->cached_version));
   auto data = co_await cache_.Read(mount_id_, node->fh.fileid, offset, count, node->attr.size,
                                    /*read_ahead=*/true);
@@ -305,7 +306,11 @@ void RemoteClient::DropCachedData(Node& node) {
 
 void RemoteClient::TraceInvalidated(const Node& node, const char* reason) {
   TRACE_INSTANT(protocol_ + ".invalidated", peer_.address().host,
-                "file=" + std::to_string(node.fh.fileid) + " reason=" + reason);
+                TraceFileArgs(node.fh.fileid) + " reason=" + reason);
+}
+
+std::string RemoteClient::TraceFileArgs(uint64_t fileid) const {
+  return "fsid=" + std::to_string(fsid()) + " file=" + std::to_string(fileid);
 }
 
 sim::Task<base::Result<void>> RemoteClient::Truncate(vfs::GnodeRef gnode, uint64_t size) {

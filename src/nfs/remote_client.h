@@ -151,6 +151,9 @@ class RemoteClient : public vfs::FileSystem {
   void DropCachedData(Node& node);
   // Emits `<protocol>.invalidated` for the trace checker.
   void TraceInvalidated(const Node& node, const char* reason);
+  // "fsid=<fsid> file=<fileid>": how the checker's per-file events name a
+  // file, so one fileid on two shards stays two files.
+  std::string TraceFileArgs(uint64_t fileid) const;
 
   // True while the daemons of `generation` should keep running.
   bool Running(uint64_t generation) const {

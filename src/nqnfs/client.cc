@@ -40,7 +40,7 @@ void NqnfsClient::OnReply(const proto::Reply& reply) {
   if (node->lease_expires != 0 && reply.lease_expires > node->lease_expires) {
     node->lease_expires = reply.lease_expires;
     TRACE_INSTANT("nqnfs.lease_extend", peer_.address().host,
-                  "file=" + std::to_string(reply.lease_file) +
+                  TraceFileArgs(reply.lease_file) +
                       " expires=" + std::to_string(reply.lease_expires));
   }
 }
@@ -52,7 +52,7 @@ void NqnfsClient::DropLease(NqnfsNode& node, const char* reason) {
   node.lease_expires = 0;
   node.lease_write = false;
   TRACE_INSTANT("nqnfs.lease_end", peer_.address().host,
-                "file=" + std::to_string(node.fh.fileid) + " reason=" + reason);
+                TraceFileArgs(node.fh.fileid) + " reason=" + reason);
 }
 
 sim::Task<void> NqnfsClient::EnsureLease(NodeRef node, bool write) {
@@ -120,7 +120,7 @@ sim::Task<void> NqnfsClient::EnsureLease(NodeRef node, bool write) {
   AdoptAttrs(*node, rep->attr);
   ++leases_acquired_;
   TRACE_INSTANT("nqnfs.lease_grant", peer_.address().host,
-                "file=" + std::to_string(node->fh.fileid) +
+                TraceFileArgs(node->fh.fileid) +
                     " version=" + std::to_string(rep->version) +
                     " write=" + (write ? "1" : "0") +
                     " expires=" + std::to_string(rep->expires));

@@ -8,6 +8,17 @@
 
 namespace nqnfs {
 
+namespace {
+
+// Names a write lease in trace events: the shard's fsid keeps one fileid on
+// two shards apart for the checker's dual-write-lease rule.
+std::string WriteLeaseArgs(uint32_t fsid, uint64_t fileid, int host) {
+  return "fsid=" + std::to_string(fsid) + " file=" + std::to_string(fileid) +
+         " host=" + std::to_string(host);
+}
+
+}  // namespace
+
 NqnfsServer::NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& peer,
                          NqnfsServerParams params)
     : simulator_(simulator),
@@ -23,8 +34,9 @@ NqnfsServer::NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& 
 }
 
 void NqnfsServer::Crash() {
+  // file_locks_ survives: a handler of the dead generation still runs to
+  // completion (its reply is dropped) and releases the lock it holds.
   leases_.Clear();
-  file_locks_.clear();
   vacates_in_progress_.clear();
   inconsistent_files_.clear();
   leaseless_bursts_.clear();
@@ -103,8 +115,7 @@ sim::Task<void> NqnfsServer::VacateOne(proto::FileHandle fh, snfs::LeaseKey key,
   leases_.Erase(key.fileid, key.host);
   if (delivered && lease.write) {
     TRACE_INSTANT("nqnfs.write_lease_end", peer_.address().host,
-                  "file=" + std::to_string(key.fileid) + " host=" + std::to_string(key.host) +
-                      " reason=vacate");
+                  WriteLeaseArgs(fs_.fsid(), key.fileid, key.host) + " reason=vacate");
   }
 }
 
@@ -244,7 +255,7 @@ sim::Task<proto::Reply> NqnfsServer::HandleGetLease(proto::GetLeaseReq req, net:
   }
   if (write_mode) {
     TRACE_INSTANT("nqnfs.write_lease_grant", peer_.address().host,
-                  "file=" + std::to_string(req.fh.fileid) + " host=" + std::to_string(from.host) +
+                  WriteLeaseArgs(fs_.fsid(), req.fh.fileid, from.host) +
                       " expires=" + std::to_string(expires));
   }
   proto::GetLeaseRep rep;
@@ -315,8 +326,7 @@ sim::Task<proto::Reply> NqnfsServer::Handle(proto::Request request, net::Address
       reply.lease_expires = lease->expires;
       if (lease->write) {
         TRACE_INSTANT("nqnfs.write_lease_extend", peer_.address().host,
-                      "file=" + std::to_string(data_target) +
-                          " host=" + std::to_string(from.host) +
+                      WriteLeaseArgs(fs_.fsid(), data_target, from.host) +
                           " expires=" + std::to_string(lease->expires));
       }
     }

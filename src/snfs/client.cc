@@ -68,7 +68,7 @@ sim::Task<base::Result<void>> SnfsClient::SendOpen(NodeRef node, bool write) {
     node->cached_version = rep->version;
     node->cache_enabled = rep->cache_enabled;
     TRACE_INSTANT("snfs.open_granted", peer_.address().host,
-                  "file=" + std::to_string(node->fh.fileid) +
+                  TraceFileArgs(node->fh.fileid) +
                       " version=" + std::to_string(rep->version) +
                       " write=" + (write ? "1" : "0") +
                       " cache=" + (rep->cache_enabled ? "1" : "0"));
@@ -269,7 +269,7 @@ sim::Task<void> SnfsClient::RunRecovery() {
     }
     node->cached_version = rep->version;
     TRACE_INSTANT("snfs.open_granted", peer_.address().host,
-                  "file=" + std::to_string(fileid) + " version=" + std::to_string(rep->version) +
+                  TraceFileArgs(fileid) + " version=" + std::to_string(rep->version) +
                       " write=" + (node->server_writes > 0 ? "1" : "0") +
                       " cache=" + (rep->cache_enabled ? "1" : "0") + " reopen=1");
     if (!rep->cache_enabled) {

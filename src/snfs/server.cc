@@ -22,8 +22,9 @@ SnfsServer::SnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& pe
 }
 
 void SnfsServer::Crash() {
+  // file_locks_ survives: a handler of the dead generation still runs to
+  // completion (its reply is dropped) and releases the lock it holds.
   table_.Clear();
-  file_locks_.clear();
 }
 
 void SnfsServer::Restart() {

@@ -5,6 +5,20 @@
 
 namespace testbed {
 
+std::string_view ProtocolName(Protocol protocol) {
+  switch (protocol) {
+    case Protocol::kLocal:
+      return "local";
+    case Protocol::kNfs:
+      return "NFS";
+    case Protocol::kSnfs:
+      return "SNFS";
+    case Protocol::kNqnfs:
+      return "NQNFS";
+  }
+  return "?";
+}
+
 ClientMachine::ClientMachine(sim::Simulator& simulator, net::Network& network, std::string name,
                              ClientMachineParams params)
     : simulator_(simulator), name_(std::move(name)), cpu_(simulator) {
@@ -26,7 +40,7 @@ sim::Task<proto::Reply> ClientMachine::HandleRequest(proto::Request request,
   // and NQNFS vacates arrive over the same channel; NFS takes none.
   if (const auto* cb = std::get_if<proto::CallbackReq>(&request)) {
     for (const RemoteMount& mount : remotes_) {
-      if (mount.protocol != ServerProtocol::kNfs && mount.client->Owns(cb->fh)) {
+      if (mount.protocol != Protocol::kNfs && mount.client->Owns(cb->fh)) {
         co_return co_await mount.client->HandleCallback(*cb);
       }
     }
@@ -38,7 +52,7 @@ sim::Task<proto::Reply> ClientMachine::HandleRequest(proto::Request request,
 }
 
 template <typename Client>
-Client& ClientMachine::Attach(ServerProtocol protocol, const std::string& path,
+Client& ClientMachine::Attach(Protocol protocol, const std::string& path,
                               std::unique_ptr<Client> client) {
   Client& ref = *client;
   remotes_.push_back(RemoteMount{protocol, &ref});
@@ -53,7 +67,7 @@ Client& ClientMachine::Attach(ServerProtocol protocol, const std::string& path,
 nfs::NfsClient& ClientMachine::MountNfs(const std::string& path, net::Address server,
                                         proto::FileHandle root_fh,
                                         nfs::NfsClientParams params) {
-  return Attach(ServerProtocol::kNfs, path,
+  return Attach(Protocol::kNfs, path,
                 std::make_unique<nfs::NfsClient>(simulator_, *peer_, server, root_fh, *cache_,
                                                  params));
 }
@@ -61,7 +75,7 @@ nfs::NfsClient& ClientMachine::MountNfs(const std::string& path, net::Address se
 snfs::SnfsClient& ClientMachine::MountSnfs(const std::string& path, net::Address server,
                                            proto::FileHandle root_fh,
                                            snfs::SnfsClientParams params) {
-  return Attach(ServerProtocol::kSnfs, path,
+  return Attach(Protocol::kSnfs, path,
                 std::make_unique<snfs::SnfsClient>(simulator_, *peer_, server, root_fh, *cache_,
                                                    params));
 }
@@ -69,23 +83,25 @@ snfs::SnfsClient& ClientMachine::MountSnfs(const std::string& path, net::Address
 nqnfs::NqnfsClient& ClientMachine::MountNqnfs(const std::string& path, net::Address server,
                                               proto::FileHandle root_fh,
                                               nqnfs::NqnfsClientParams params) {
-  return Attach(ServerProtocol::kNqnfs, path,
+  return Attach(Protocol::kNqnfs, path,
                 std::make_unique<nqnfs::NqnfsClient>(simulator_, *peer_, server, root_fh,
                                                      *cache_, params));
 }
 
-nfs::RemoteClient& ClientMachine::MountRemote(ServerProtocol protocol, const std::string& path,
+nfs::RemoteClient& ClientMachine::MountRemote(Protocol protocol, const std::string& path,
                                               net::Address server, proto::FileHandle root_fh,
                                               const ClientProtocolParams& params) {
   switch (protocol) {
-    case ServerProtocol::kNfs:
+    case Protocol::kNfs:
       return MountNfs(path, server, root_fh, params.nfs);
-    case ServerProtocol::kSnfs:
+    case Protocol::kSnfs:
       return MountSnfs(path, server, root_fh, params.snfs);
-    case ServerProtocol::kNqnfs:
+    case Protocol::kNqnfs:
       return MountNqnfs(path, server, root_fh, params.nqnfs);
+    case Protocol::kLocal:
+      break;
   }
-  base::CheckFailed(__FILE__, __LINE__, "unknown protocol");
+  base::CheckFailed(__FILE__, __LINE__, "MountRemote needs a remote protocol");
 }
 
 fs::LocalMount& ClientMachine::MountLocal(const std::string& path) {
@@ -130,18 +146,19 @@ void ClientMachine::Restart(net::Network& network) {
 }
 
 ServerMachine::ServerMachine(sim::Simulator& simulator, net::Network& network, std::string name,
-                             ServerProtocol protocol, ServerMachineParams params)
+                             Protocol protocol, ServerMachineParams params)
     : simulator_(simulator), name_(std::move(name)), cpu_(simulator), disk_(simulator, params.disk) {
+  CHECK(protocol != Protocol::kLocal);
   fs_ = std::make_unique<fs::LocalFs>(simulator, disk_, params.fs);
   peer_ = std::make_unique<rpc::Peer>(simulator, network, cpu_, name_, params.peer);
-  if (protocol == ServerProtocol::kNfs) {
+  if (protocol == Protocol::kNfs) {
     // The plain NFS server is stateless and never calls out, so it takes no
     // peer; the machine routes requests to it.
     nfs_server_ = std::make_unique<nfs::NfsServer>(*fs_);
     peer_->set_handler([server = nfs_server_.get()](proto::Request request, net::Address from) {
       return server->Handle(std::move(request), from);
     });
-  } else if (protocol == ServerProtocol::kSnfs) {
+  } else if (protocol == Protocol::kSnfs) {
     snfs_server_ = std::make_unique<snfs::SnfsServer>(simulator, *fs_, *peer_, params.snfs);
   } else {
     nqnfs_server_ = std::make_unique<nqnfs::NqnfsServer>(simulator, *fs_, *peer_, params.nqnfs);

@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -35,7 +36,11 @@
 
 namespace testbed {
 
-enum class ServerProtocol { kNfs, kSnfs, kNqnfs };
+// kLocal is the paper's all-local baseline (no server); a ServerMachine and
+// a remote mount take one of the three remote protocols.
+enum class Protocol { kLocal, kNfs, kSnfs, kNqnfs };
+
+std::string_view ProtocolName(Protocol protocol);
 
 // Client parameters for each protocol; a remote mount takes the member its
 // protocol names.
@@ -69,7 +74,7 @@ class ClientMachine {
   nqnfs::NqnfsClient& MountNqnfs(const std::string& path, net::Address server,
                                  proto::FileHandle root_fh, nqnfs::NqnfsClientParams params = {});
   // Mounts with the client `protocol` names, taking that protocol's params.
-  nfs::RemoteClient& MountRemote(ServerProtocol protocol, const std::string& path,
+  nfs::RemoteClient& MountRemote(Protocol protocol, const std::string& path,
                                  net::Address server, proto::FileHandle root_fh,
                                  const ClientProtocolParams& params = {});
   fs::LocalMount& MountLocal(const std::string& path);
@@ -100,13 +105,13 @@ class ClientMachine {
 
  private:
   struct RemoteMount {
-    ServerProtocol protocol;
+    Protocol protocol;
     nfs::RemoteClient* client;
   };
 
   sim::Task<proto::Reply> HandleRequest(proto::Request request, net::Address from);
   template <typename Client>
-  Client& Attach(ServerProtocol protocol, const std::string& path,
+  Client& Attach(Protocol protocol, const std::string& path,
                  std::unique_ptr<Client> client);
 
   sim::Simulator& simulator_;
@@ -134,7 +139,7 @@ struct ServerMachineParams {
 class ServerMachine {
  public:
   ServerMachine(sim::Simulator& simulator, net::Network& network, std::string name,
-                ServerProtocol protocol, ServerMachineParams params = {});
+                Protocol protocol, ServerMachineParams params = {});
 
   ServerMachine(const ServerMachine&) = delete;
   ServerMachine& operator=(const ServerMachine&) = delete;

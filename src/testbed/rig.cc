@@ -1,38 +1,29 @@
 #include "src/testbed/rig.h"
 
+#include <algorithm>
+#include <deque>
+
 #include "src/base/log.h"
-#include "src/testbed/fault_runner.h"
 
 namespace testbed {
 
-std::string_view ProtocolName(Protocol protocol) {
-  switch (protocol) {
-    case Protocol::kLocal:
-      return "local";
-    case Protocol::kNfs:
-      return "NFS";
-    case Protocol::kSnfs:
-      return "SNFS";
-    case Protocol::kNqnfs:
-      return "NQNFS";
-  }
-  return "?";
+namespace {
+
+// The machine a fault event names; naming one the topology lacks is a bug
+// in the script, not a fault to skip.
+template <typename Machine>
+Machine* Target(const std::vector<std::unique_ptr<Machine>>& machines, int index) {
+  CHECK(index >= 0 && index < static_cast<int>(machines.size()));
+  return machines[static_cast<size_t>(index)].get();
 }
 
-namespace {
-ServerProtocol ServerProtocolFor(Protocol protocol) {
-  switch (protocol) {
-    case Protocol::kNfs:
-      return ServerProtocol::kNfs;
-    case Protocol::kNqnfs:
-      return ServerProtocol::kNqnfs;
-    default:
-      return ServerProtocol::kSnfs;
-  }
-}
 }  // namespace
 
 std::string Rig::ShardRoot(int s) { return "/data/s" + std::to_string(s); }
+
+std::string Rig::shard_mount(int s) const {
+  return options_.fleet.active() ? ShardRoot(s) : data_root_;
+}
 
 Rig::Rig(RigOptions options)
     : options_(options), network_(simulator_, options.network, /*seed=*/11) {
@@ -41,10 +32,11 @@ Rig::Rig(RigOptions options)
   bool classic = !topology.active();
   CHECK(remote || classic);                // a fleet is remote by definition
   CHECK(classic || !options_.remote_tmp);  // fleet temporaries stay on the client disk
+  // kLocal keeps /data and its temporaries on the client's own disk.
+  CHECK(remote || options_.client.with_local_disk);
   CHECK(!topology.meta_cache || options_.protocol == Protocol::kNfs);
   CHECK_GE(topology.servers, 1);
   CHECK_GE(topology.clients, 1);
-  ServerProtocol protocol = ServerProtocolFor(options_.protocol);
 
   // Hosts attach in a fixed order — shards, then the cache, then clients —
   // so host ids (and thus trace machine ids) are deterministic.
@@ -52,7 +44,7 @@ Rig::Rig(RigOptions options)
     ServerMachineParams params = options_.server;
     params.fs.fsid = static_cast<uint32_t>(1 + s);  // fsid names the shard
     servers_.push_back(std::make_unique<ServerMachine>(
-        simulator_, network_, "server" + std::to_string(s), protocol, params));
+        simulator_, network_, "server" + std::to_string(s), options_.protocol, params));
   }
 
   // Carve each shard's exported directory — and the classic rig's /rtmp
@@ -104,17 +96,19 @@ Rig::Rig(RigOptions options)
     tmp_dir_ = "/rtmp";
   }
   for (const auto& client : clients_) {
-    client->MountLocal(local_root_);
+    if (options_.client.with_local_disk) {
+      client->MountLocal(local_root_);
+    }
     if (!remote) {
       client->MountLocal(data_root_);
     }
     for (int s = 0; s < num_shards(); ++s) {
       net::Address target = meta_cache_ != nullptr ? meta_cache_->address() : shard(s).address();
-      client->MountRemote(protocol, classic ? data_root_ : ShardRoot(s), target,
-                          shard_data_parent(s), options_);
+      client->MountRemote(options_.protocol, shard_mount(s), target, shard_data_parent(s),
+                          options_);
     }
     if (tmp_dir_ == "/rtmp") {
-      client->MountRemote(protocol, tmp_dir_, shard(0).address(), tmp_parent, options_);
+      client->MountRemote(options_.protocol, tmp_dir_, shard(0).address(), tmp_parent, options_);
     }
   }
 
@@ -128,7 +122,7 @@ Rig::Rig(RigOptions options)
     client->Start();
   }
 
-  if (tmp_dir_ == "/local/tmp") {
+  if (tmp_dir_ == "/local/tmp" && options_.client.with_local_disk) {
     simulator_.Spawn([](Rig& rig) -> sim::Task<void> {
       for (const auto& client : rig.clients_) {
         auto made = co_await client->vfs().MkdirPath("/local/tmp");
@@ -140,16 +134,92 @@ Rig::Rig(RigOptions options)
 }
 
 void Rig::ApplyFaultSchedule(const fault::FaultSchedule& schedule) {
-  std::vector<ServerMachine*> servers;
-  for (const auto& server : servers_) {
-    servers.push_back(server.get());
+  // Per shard: times at which the next handler dispatch should take it down.
+  std::vector<std::vector<sim::Time>> handler_crashes(servers_.size());
+  net::Network* network = &network_;
+
+  for (const fault::FaultEvent& ev : schedule.events) {
+    std::function<void()> fire;
+    switch (ev.kind) {
+      case fault::FaultEventKind::kCrashServer: {
+        ServerMachine* server = Target(servers_, ev.target);
+        fire = [server, network] {
+          LOG_INFO("fault", "scheduled crash of %s", server->peer().name().c_str());
+          server->Crash(*network);
+        };
+        break;
+      }
+      case fault::FaultEventKind::kRebootServer: {
+        ServerMachine* server = Target(servers_, ev.target);
+        fire = [server, network] {
+          LOG_INFO("fault", "scheduled reboot of %s", server->peer().name().c_str());
+          server->Reboot(*network);
+        };
+        break;
+      }
+      case fault::FaultEventKind::kCrashClient: {
+        ClientMachine* client = Target(clients_, ev.target);
+        fire = [client, network] {
+          LOG_INFO("fault", "scheduled crash of %s", client->name().c_str());
+          client->Crash(*network);
+        };
+        break;
+      }
+      case fault::FaultEventKind::kRestartClient: {
+        ClientMachine* client = Target(clients_, ev.target);
+        fire = [client, network] {
+          LOG_INFO("fault", "scheduled restart of %s", client->name().c_str());
+          client->Restart(*network);
+        };
+        break;
+      }
+      case fault::FaultEventKind::kCrashServerInHandler:
+        Target(servers_, ev.target);
+        handler_crashes[static_cast<size_t>(ev.target)].push_back(ev.at);
+        continue;
+      case fault::FaultEventKind::kCacheDown:
+      case fault::FaultEventKind::kCacheUp: {
+        fleet::MetaCache* cache = meta_cache_.get();
+        CHECK(cache != nullptr);
+        bool up = ev.kind == fault::FaultEventKind::kCacheUp;
+        fire = [cache, up, network] {
+          LOG_INFO("fault", "scheduled %s going %s", cache->name().c_str(), up ? "up" : "down");
+          network->SetHostUp(cache->address(), up);
+        };
+        break;
+      }
+    }
+    simulator_.ScheduleAt(ev.at, std::move(fire), /*background=*/true);
   }
-  std::vector<ClientMachine*> clients;
-  for (const auto& client : clients_) {
-    clients.push_back(client.get());
+
+  for (size_t s = 0; s < servers_.size(); ++s) {
+    if (handler_crashes[s].empty()) {
+      continue;
+    }
+    std::sort(handler_crashes[s].begin(), handler_crashes[s].end());
+    // Shared with the worker hook, which outlives this call.
+    auto pending = std::make_shared<std::deque<sim::Time>>(handler_crashes[s].begin(),
+                                                          handler_crashes[s].end());
+    ServerMachine* srv = servers_[s].get();
+    sim::Simulator* simulator = &simulator_;
+    srv->peer().set_worker_hook(
+        [pending, srv, network, simulator](const rpc::WorkerEvent& event) {
+          if (event.phase != rpc::WorkerEvent::Phase::kBeforeHandler) {
+            return;
+          }
+          if (pending->empty() || simulator->Now() < pending->front()) {
+            return;
+          }
+          pending->pop_front();
+          // Crash via a zero-delay event rather than synchronously: the
+          // dispatching worker proceeds into its CPU charge / handler first,
+          // so the crash lands while the handler coroutine is in flight.
+          simulator->Schedule(0, [srv, network] {
+            LOG_INFO("fault", "crashing %s mid-handler", srv->peer().name().c_str());
+            srv->Crash(*network);
+          }, /*background=*/true);
+        });
   }
-  testbed::ApplyFaultSchedule(simulator_, network_, servers, meta_cache_.get(), clients,
-                              schedule);
 }
 
 fs::LocalFs& Rig::data_fs() {

@@ -1,7 +1,7 @@
 // Rig: one benchmark configuration — N shard servers (none under kLocal),
 // an optional metadata cache and M clients — built by one sequence:
 // attach the machines, carve each shard's exported directory, mount, start,
-// and make /local/tmp on every client that keeps temporaries locally.
+// and make /local/tmp on every client that has a local disk.
 //
 // The classic rig is the paper's testbed, one server and one client
 // (FleetOptions at its defaults). It mounts shard 0 at /data, and the
@@ -23,9 +23,10 @@
 // cache's address as the server, and the cache answers getattr/lookup or
 // forwards by fsid.
 //
-// The rig always provides /local (each client's own disk) for benchmark
-// inputs/outputs that are not under test. Machines are named server<k>,
-// metacache and client<c>; ApplyFaultSchedule scripts crashes against them.
+// Clients with a local disk (ClientMachineParams::with_local_disk, the
+// default) mount it at /local for benchmark inputs/outputs that are not
+// under test; kLocal needs it. Machines are named server<k>, metacache and
+// client<c>; ApplyFaultSchedule scripts crashes against them.
 #ifndef SRC_TESTBED_RIG_H_
 #define SRC_TESTBED_RIG_H_
 
@@ -38,10 +39,6 @@
 #include "src/testbed/machine.h"
 
 namespace testbed {
-
-enum class Protocol { kLocal, kNfs, kSnfs, kNqnfs };
-
-std::string_view ProtocolName(Protocol protocol);
 
 // N-server × M-client fleet topology. The defaults (1×1, no cache) are the
 // classic rig.
@@ -101,10 +98,18 @@ class Rig {
   }
   // Namespace prefix shard s exports in a fleet, "/data/s<s>".
   static std::string ShardRoot(int s);
+  // Where every client mounts shard s: /data on the classic rig,
+  // ShardRoot(s) on any other layout.
+  std::string shard_mount(int s) const;
 
-  // Schedules `schedule` against this rig's machines: server events name a
-  // shard, client events a client, cache events the metadata cache. Times
-  // are absolute; call after population so the faults land in the run.
+  // Schedules every event of `schedule` at its absolute time against this
+  // rig's machines: server events name a shard, client events a client,
+  // cache events the metadata cache. An event whose target the topology
+  // lacks CHECK-fails. kCrashServerInHandler installs a worker hook on that
+  // shard's peer (replacing any previous hook): the first handler dispatch
+  // at or after the event time triggers a crash that lands mid-dispatch,
+  // while the handler coroutine is in flight. Call after population so the
+  // faults land in the run.
   void ApplyFaultSchedule(const fault::FaultSchedule& schedule);
 
  private:

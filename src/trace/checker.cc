@@ -19,9 +19,18 @@ uint64_t ParseU64(std::string_view s) {
   return v;
 }
 
+// A file is identified by (fsid, fileid): the fsid names the owning shard,
+// so one checker map covers every shard at once.
+struct ShardFileKey {
+  uint64_t fsid;
+  uint64_t file;
+  friend auto operator<=>(const ShardFileKey&, const ShardFileKey&) = default;
+};
+
+// A file as one client sees it.
 struct FileKey {
   int machine;
-  uint64_t file;
+  ShardFileKey file;
   friend auto operator<=>(const FileKey&, const FileKey&) = default;
 };
 
@@ -33,20 +42,23 @@ struct ExecKey {
   friend auto operator<=>(const ExecKey&, const ExecKey&) = default;
 };
 
-// Shard-aware stale-read: a file in the fleet is identified by
-// (fsid, fileid) — the fsid names the owning shard, so one checker map
-// covers every shard at once.
-struct ShardFileKey {
-  uint64_t fsid;
-  uint64_t file;
-  friend auto operator<=>(const ShardFileKey&, const ShardFileKey&) = default;
-};
-
 // lease-expired-read: what an NQNFS client holds for one file.
 struct ClientLease {
   uint64_t version = 0;
   sim::Time expires = 0;
 };
+
+// The file an event names; events without an fsid= (single-server traces
+// recorded before the argument existed, hand-built fixtures) read as fsid 0.
+ShardFileKey FileOf(const Event& e) {
+  return ShardFileKey{ParseU64(ArgValue(e.args, "fsid")), ParseU64(ArgValue(e.args, "file"))};
+}
+
+FileKey ClientFileOf(const Event& e) { return FileKey{e.machine, FileOf(e)}; }
+
+std::string Describe(const ShardFileKey& key) {
+  return "file " + std::to_string(key.file) + " (fsid " + std::to_string(key.fsid) + ")";
+}
 
 }  // namespace
 
@@ -67,14 +79,14 @@ std::vector<Violation> CheckTrace(const std::vector<Event>& events) {
   // stale-read: (client machine, file) -> granted version.
   std::map<FileKey, uint64_t> granted;
   // concurrent-dirty: file -> set of dirty client machines.
-  std::map<uint64_t, std::set<int>> dirty;
+  std::map<ShardFileKey, std::set<int>> dirty;
   // retransmit-once: executions per (server, client, xid, generation).
   std::map<ExecKey, std::pair<int, std::string>> execs;
   // lease-expired-read: (client machine, file) -> live lease.
   std::map<FileKey, ClientLease> leases;
   // dual-write-lease: file -> (holder host -> expiry). Never cleared by a
   // machine.crash: a dead server's promises are retired by the clock alone.
-  std::map<uint64_t, std::map<int, sim::Time>> write_leases;
+  std::map<ShardFileKey, std::map<int, sim::Time>> write_leases;
   // shard-aware stale-read: (fsid, file) -> highest version committed
   // through the meta-cache (the linearization point for fleet mutations).
   std::map<ShardFileKey, uint64_t> fleet_committed;
@@ -82,64 +94,64 @@ std::vector<Violation> CheckTrace(const std::vector<Event>& events) {
   for (size_t i = 0; i < events.size(); ++i) {
     const Event& e = events[i];
     if (e.kind == EventKind::kInstant && e.name == "snfs.open_granted") {
-      FileKey key{e.machine, ParseU64(ArgValue(e.args, "file"))};
+      FileKey key = ClientFileOf(e);
       granted[key] = ParseU64(ArgValue(e.args, "version"));
     } else if (e.kind == EventKind::kInstant && e.name == "snfs.read_observe") {
-      FileKey key{e.machine, ParseU64(ArgValue(e.args, "file"))};
+      FileKey key = ClientFileOf(e);
       uint64_t version = ParseU64(ArgValue(e.args, "version"));
       auto it = granted.find(key);
       if (it == granted.end()) {
         out.push_back(Violation{"stale-read", i,
                                 "client m" + std::to_string(e.machine) +
-                                    " served a cached read of file " +
-                                    std::to_string(key.file) + " without an open grant"});
+                                    " served a cached read of " + Describe(key.file) +
+                                    " without an open grant"});
       } else if (version < it->second) {
         out.push_back(Violation{
             "stale-read", i,
             "client m" + std::to_string(e.machine) + " read version " + std::to_string(version) +
-                " of file " + std::to_string(key.file) + " but holds a grant for version " +
+                " of " + Describe(key.file) + " but holds a grant for version " +
                 std::to_string(it->second)});
       }
     } else if (e.kind == EventKind::kInstant && e.name == "snfs.invalidated") {
-      granted.erase(FileKey{e.machine, ParseU64(ArgValue(e.args, "file"))});
+      granted.erase(ClientFileOf(e));
     } else if (e.kind == EventKind::kInstant && e.name == "nqnfs.lease_grant") {
-      FileKey key{e.machine, ParseU64(ArgValue(e.args, "file"))};
+      FileKey key = ClientFileOf(e);
       leases[key] = ClientLease{ParseU64(ArgValue(e.args, "version")),
                                 static_cast<sim::Time>(ParseU64(ArgValue(e.args, "expires")))};
     } else if (e.kind == EventKind::kInstant && e.name == "nqnfs.lease_extend") {
-      FileKey key{e.machine, ParseU64(ArgValue(e.args, "file"))};
+      FileKey key = ClientFileOf(e);
       auto it = leases.find(key);
       sim::Time expires = static_cast<sim::Time>(ParseU64(ArgValue(e.args, "expires")));
       if (it != leases.end() && expires > it->second.expires) {
         it->second.expires = expires;
       }
     } else if (e.kind == EventKind::kInstant && e.name == "nqnfs.read_observe") {
-      FileKey key{e.machine, ParseU64(ArgValue(e.args, "file"))};
+      FileKey key = ClientFileOf(e);
       uint64_t version = ParseU64(ArgValue(e.args, "version"));
       auto it = leases.find(key);
       if (it == leases.end()) {
         out.push_back(Violation{"lease-expired-read", i,
                                 "client m" + std::to_string(e.machine) +
-                                    " served a cached read of file " + std::to_string(key.file) +
+                                    " served a cached read of " + Describe(key.file) +
                                     " without a lease"});
       } else if (e.at >= it->second.expires) {
         out.push_back(Violation{
             "lease-expired-read", i,
-            "client m" + std::to_string(e.machine) + " served a cached read of file " +
-                std::to_string(key.file) + " at t=" + std::to_string(e.at) +
+            "client m" + std::to_string(e.machine) + " served a cached read of " +
+                Describe(key.file) + " at t=" + std::to_string(e.at) +
                 " but its lease expired at t=" + std::to_string(it->second.expires)});
       } else if (version < it->second.version) {
         out.push_back(Violation{
             "lease-expired-read", i,
             "client m" + std::to_string(e.machine) + " read version " + std::to_string(version) +
-                " of file " + std::to_string(key.file) + " but holds a lease for version " +
+                " of " + Describe(key.file) + " but holds a lease for version " +
                 std::to_string(it->second.version)});
       }
     } else if (e.kind == EventKind::kInstant &&
                (e.name == "nqnfs.lease_end" || e.name == "nqnfs.invalidated")) {
-      leases.erase(FileKey{e.machine, ParseU64(ArgValue(e.args, "file"))});
+      leases.erase(ClientFileOf(e));
     } else if (e.kind == EventKind::kInstant && e.name == "nqnfs.write_lease_grant") {
-      uint64_t file = ParseU64(ArgValue(e.args, "file"));
+      ShardFileKey file = FileOf(e);
       int host = static_cast<int>(ParseU64(ArgValue(e.args, "host")));
       std::map<int, sim::Time>& holders = write_leases[file];
       for (auto it = holders.begin(); it != holders.end();) {
@@ -151,7 +163,7 @@ std::vector<Violation> CheckTrace(const std::vector<Event>& events) {
           out.push_back(Violation{
               "dual-write-lease", i,
               "server m" + std::to_string(e.machine) + " granted host " + std::to_string(host) +
-                  " a write lease on file " + std::to_string(file) + " while host " +
+                  " a write lease on " + Describe(file) + " while host " +
                   std::to_string(it->first) + "'s write lease runs until t=" +
                   std::to_string(it->second) + " (grant at t=" + std::to_string(e.at) + ")"});
         }
@@ -159,7 +171,7 @@ std::vector<Violation> CheckTrace(const std::vector<Event>& events) {
       }
       holders[host] = static_cast<sim::Time>(ParseU64(ArgValue(e.args, "expires")));
     } else if (e.kind == EventKind::kInstant && e.name == "nqnfs.write_lease_extend") {
-      uint64_t file = ParseU64(ArgValue(e.args, "file"));
+      ShardFileKey file = FileOf(e);
       int host = static_cast<int>(ParseU64(ArgValue(e.args, "host")));
       sim::Time expires = static_cast<sim::Time>(ParseU64(ArgValue(e.args, "expires")));
       auto file_it = write_leases.find(file);
@@ -170,7 +182,7 @@ std::vector<Violation> CheckTrace(const std::vector<Event>& events) {
         }
       }
     } else if (e.kind == EventKind::kInstant && e.name == "nqnfs.write_lease_end") {
-      uint64_t file = ParseU64(ArgValue(e.args, "file"));
+      ShardFileKey file = FileOf(e);
       int host = static_cast<int>(ParseU64(ArgValue(e.args, "host")));
       auto file_it = write_leases.find(file);
       if (file_it != write_leases.end()) {
@@ -178,7 +190,7 @@ std::vector<Violation> CheckTrace(const std::vector<Event>& events) {
       }
     } else if (e.kind == EventKind::kInstant && e.name == "cache.file_dirty" &&
                (ArgValue(e.args, "scope") == "snfs" || ArgValue(e.args, "scope") == "nqnfs")) {
-      uint64_t file = ParseU64(ArgValue(e.args, "file"));
+      ShardFileKey file = FileOf(e);
       std::set<int>& holders = dirty[file];
       holders.insert(e.machine);
       if (holders.size() > 1) {
@@ -187,18 +199,18 @@ std::vector<Violation> CheckTrace(const std::vector<Event>& events) {
           who += (who.empty() ? "m" : ",m") + std::to_string(m);
         }
         out.push_back(Violation{"concurrent-dirty", i,
-                                "file " + std::to_string(file) +
-                                    " is write-dirty on two clients concurrently (" + who + ")"});
+                                Describe(file) + " is write-dirty on two clients concurrently (" +
+                                    who + ")"});
       }
     } else if (e.kind == EventKind::kInstant && e.name == "cache.file_clean" &&
                (ArgValue(e.args, "scope") == "snfs" || ArgValue(e.args, "scope") == "nqnfs")) {
-      dirty[ParseU64(ArgValue(e.args, "file"))].erase(e.machine);
+      dirty[FileOf(e)].erase(e.machine);
     } else if (e.kind == EventKind::kInstant && e.name == "fleet.commit") {
       // A mutation's reply passed through the meta-cache: the owning
       // shard's committed version for this file is now at least `v`.
       // Replies of racing mutations can be observed out of order, so the
       // floor only ever rises.
-      ShardFileKey key{ParseU64(ArgValue(e.args, "fsid")), ParseU64(ArgValue(e.args, "file"))};
+      ShardFileKey key = FileOf(e);
       uint64_t version = ParseU64(ArgValue(e.args, "v"));
       uint64_t& floor = fleet_committed[key];
       if (version > floor) {
@@ -208,7 +220,7 @@ std::vector<Violation> CheckTrace(const std::vector<Event>& events) {
       // The meta-cache answered a getattr/lookup from its cache. It must
       // reflect the owning shard's latest committed version — serving
       // anything older is the shard-aware stale read.
-      ShardFileKey key{ParseU64(ArgValue(e.args, "fsid")), ParseU64(ArgValue(e.args, "file"))};
+      ShardFileKey key = FileOf(e);
       uint64_t version = ParseU64(ArgValue(e.args, "v"));
       auto it = fleet_committed.find(key);
       if (it != fleet_committed.end() && version < it->second) {

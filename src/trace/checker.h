@@ -9,9 +9,8 @@
 //                    of the client's most recent `snfs.open_granted` for the
 //                    file, and must not occur at all without a grant.
 //                    Shard-aware extension (src/fleet): a getattr/lookup the
-//                    meta-cache answers from its cache (`fleet.meta_serve`,
-//                    keyed by fsid+file so each shard's namespace is
-//                    tracked separately) must reflect the owning shard's
+//                    meta-cache answers from its cache (`fleet.meta_serve`)
+//                    must reflect the owning shard's
 //                    latest committed version (`fleet.commit`, emitted when
 //                    a mutation's reply passes through the cache).
 //  concurrent-dirty  No two clients hold write-dirty cached blocks of the
@@ -44,6 +43,10 @@
 //                    holder outlives the lease table; a rebooted server
 //                    granting before its quiet window closes is exactly the
 //                    bug this rule exists to catch.
+//
+// Every per-file rule keys a file by (fsid, fileid), read from the event's
+// `fsid=` and `file=` arguments: shards of a fleet reuse fileids, and the
+// fsid names the shard. An event without `fsid=` reads as fsid 0.
 //
 // The checker is pure: it consumes the event vector and produces violations;
 // it never mutates simulator state, so it can run after the simulation or

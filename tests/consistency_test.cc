@@ -67,8 +67,8 @@ class ScopedTraceCheck {
 
 using testbed::ClientMachineParams;
 using testbed::MountData;
+using testbed::Protocol;
 using testbed::ProtocolLabel;
-using testbed::ServerProtocol;
 using testbed::World;
 
 // --- scenario 1: sequential (close-to-open) sharing --------------------------
@@ -307,7 +307,22 @@ sim::Task<void> NamespaceRoundTripScenario(World& w, bool* finished) {
   *finished = true;
 }
 
-class ProtocolConformance : public ::testing::TestWithParam<ServerProtocol> {};
+// A remote protocol as a matrix parameter. gtest prints a parameter without
+// a PrintTo as its raw bytes, and ctest registers that text in each case's
+// name, so the parameter stores the protocol's index among the remote
+// protocols (NFS 0, SNFS 1, NQNFS 2) rather than its testbed::Protocol
+// value, which counts kLocal first. It converts to and from Protocol.
+struct RemoteProtocol {
+  RemoteProtocol(Protocol protocol)
+      : index(static_cast<int>(protocol) - static_cast<int>(Protocol::kNfs)) {}
+  operator Protocol() const {
+    return static_cast<Protocol>(index + static_cast<int>(Protocol::kNfs));
+  }
+  int index;
+};
+static_assert(sizeof(RemoteProtocol) == sizeof(int));
+
+class ProtocolConformance : public ::testing::TestWithParam<RemoteProtocol> {};
 
 TEST_P(ProtocolConformance, SequentialSharingIsConsistent) {
   World w(GetParam(), 2);
@@ -328,7 +343,7 @@ TEST_P(ProtocolConformance, ConcurrentWriteSharingMatchesContract) {
   MountData(w, 1, GetParam());
   int stale = 0;
   bool finished = false;
-  bool expect_consistent = GetParam() != ServerProtocol::kNfs;
+  bool expect_consistent = GetParam() != Protocol::kNfs;
   w.simulator.Spawn(WriteSharingProbe(w, expect_consistent, &stale, &finished));
   w.simulator.Run();
   EXPECT_TRUE(finished);
@@ -336,13 +351,13 @@ TEST_P(ProtocolConformance, ConcurrentWriteSharingMatchesContract) {
 }
 
 TEST_P(ProtocolConformance, WriteSharingMechanismEngages) {
-  if (GetParam() == ServerProtocol::kNfs) {
+  if (GetParam() == Protocol::kNfs) {
     GTEST_SKIP() << "NFS has no write-sharing mechanism (that is scenario 2's point)";
   }
   World w(GetParam(), 2);
   snfs::SnfsClient* snfs_b = nullptr;
   nqnfs::NqnfsClient* nqnfs_b = nullptr;
-  if (GetParam() == ServerProtocol::kSnfs) {
+  if (GetParam() == Protocol::kSnfs) {
     w.client(0).MountSnfs("/data", w.server->address(), w.server->root());
     snfs_b = &w.client(1).MountSnfs("/data", w.server->address(), w.server->root());
   } else {
@@ -390,9 +405,9 @@ TEST_P(ProtocolConformance, NamespaceOpsRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, ProtocolConformance,
-                         ::testing::Values(ServerProtocol::kNfs, ServerProtocol::kSnfs,
-                                           ServerProtocol::kNqnfs),
-                         [](const ::testing::TestParamInfo<ServerProtocol>& info) {
+                         ::testing::Values(Protocol::kNfs, Protocol::kSnfs,
+                                           Protocol::kNqnfs),
+                         [](const ::testing::TestParamInfo<RemoteProtocol>& info) {
                            return ProtocolLabel(info.param);
                          });
 
@@ -405,30 +420,30 @@ INSTANTIATE_TEST_SUITE_P(Protocols, ProtocolConformance,
 TEST(ServerVocabulary, EachProtocolRejectsOnlyForeignRequests) {
   using proto::OpKind;
   struct Row {
-    ServerProtocol protocol;
+    Protocol protocol;
     OpKind kind;
     bool supported;
   };
   const std::vector<Row> table = {
-      {ServerProtocol::kNfs, OpKind::kNull, true},
-      {ServerProtocol::kNfs, OpKind::kOpen, false},
-      {ServerProtocol::kNfs, OpKind::kGetLease, false},
-      {ServerProtocol::kSnfs, OpKind::kNull, true},
-      {ServerProtocol::kSnfs, OpKind::kOpen, true},
-      {ServerProtocol::kSnfs, OpKind::kClose, true},
-      {ServerProtocol::kSnfs, OpKind::kReopen, true},
-      {ServerProtocol::kSnfs, OpKind::kGetLease, false},
-      {ServerProtocol::kNqnfs, OpKind::kNull, true},
-      {ServerProtocol::kNqnfs, OpKind::kOpen, false},
-      {ServerProtocol::kNqnfs, OpKind::kClose, false},
-      {ServerProtocol::kNqnfs, OpKind::kReopen, false},
-      {ServerProtocol::kNqnfs, OpKind::kGetLease, true},
+      {Protocol::kNfs, OpKind::kNull, true},
+      {Protocol::kNfs, OpKind::kOpen, false},
+      {Protocol::kNfs, OpKind::kGetLease, false},
+      {Protocol::kSnfs, OpKind::kNull, true},
+      {Protocol::kSnfs, OpKind::kOpen, true},
+      {Protocol::kSnfs, OpKind::kClose, true},
+      {Protocol::kSnfs, OpKind::kReopen, true},
+      {Protocol::kSnfs, OpKind::kGetLease, false},
+      {Protocol::kNqnfs, OpKind::kNull, true},
+      {Protocol::kNqnfs, OpKind::kOpen, false},
+      {Protocol::kNqnfs, OpKind::kClose, false},
+      {Protocol::kNqnfs, OpKind::kReopen, false},
+      {Protocol::kNqnfs, OpKind::kGetLease, true},
   };
-  for (ServerProtocol protocol :
-       {ServerProtocol::kNfs, ServerProtocol::kSnfs, ServerProtocol::kNqnfs}) {
+  for (Protocol protocol :
+       {Protocol::kNfs, Protocol::kSnfs, Protocol::kNqnfs}) {
     World w(protocol, 1);
     int answered = 0;
-    w.simulator.Spawn([](World& w, ServerProtocol protocol, const std::vector<Row>& table,
+    w.simulator.Spawn([](World& w, Protocol protocol, const std::vector<Row>& table,
                          int& answered) -> sim::Task<void> {
       const proto::FileHandle fh = w.server->root();
       for (const Row& row : table) {
@@ -526,7 +541,7 @@ sim::Task<void> RandomActor(World& w, int client_id, Oracle& oracle, sim::Mutex&
 }
 
 struct ConsistencyParam {
-  ServerProtocol protocol;
+  RemoteProtocol protocol;
   uint64_t seed;
 };
 
@@ -552,7 +567,7 @@ TEST_P(ConsistencySweep, LockSerializedAccessesMatchOracle) {
   w.simulator.Run();
   EXPECT_EQ(wg.count(), 0);
   EXPECT_GT(reads_checked, 20);
-  if (param.protocol != ServerProtocol::kNfs) {
+  if (param.protocol != Protocol::kNfs) {
     // The guarantee: no stale reads, ever — SNFS via opens and callbacks,
     // NQNFS via leases and vacates.
     EXPECT_EQ(mismatches, 0) << ProtocolLabel(param.protocol) << " served stale data (seed "
@@ -568,21 +583,21 @@ TEST_P(ConsistencySweep, LockSerializedAccessesMatchOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, ConsistencySweep,
-    ::testing::Values(ConsistencyParam{ServerProtocol::kSnfs, 1},
-                      ConsistencyParam{ServerProtocol::kSnfs, 2},
-                      ConsistencyParam{ServerProtocol::kSnfs, 3},
-                      ConsistencyParam{ServerProtocol::kSnfs, 4},
-                      ConsistencyParam{ServerProtocol::kSnfs, 5},
-                      ConsistencyParam{ServerProtocol::kSnfs, 6},
-                      ConsistencyParam{ServerProtocol::kNfs, 1},
-                      ConsistencyParam{ServerProtocol::kNfs, 2},
-                      ConsistencyParam{ServerProtocol::kNfs, 3},
-                      ConsistencyParam{ServerProtocol::kNqnfs, 1},
-                      ConsistencyParam{ServerProtocol::kNqnfs, 2},
-                      ConsistencyParam{ServerProtocol::kNqnfs, 3},
-                      ConsistencyParam{ServerProtocol::kNqnfs, 4},
-                      ConsistencyParam{ServerProtocol::kNqnfs, 5},
-                      ConsistencyParam{ServerProtocol::kNqnfs, 6}),
+    ::testing::Values(ConsistencyParam{Protocol::kSnfs, 1},
+                      ConsistencyParam{Protocol::kSnfs, 2},
+                      ConsistencyParam{Protocol::kSnfs, 3},
+                      ConsistencyParam{Protocol::kSnfs, 4},
+                      ConsistencyParam{Protocol::kSnfs, 5},
+                      ConsistencyParam{Protocol::kSnfs, 6},
+                      ConsistencyParam{Protocol::kNfs, 1},
+                      ConsistencyParam{Protocol::kNfs, 2},
+                      ConsistencyParam{Protocol::kNfs, 3},
+                      ConsistencyParam{Protocol::kNqnfs, 1},
+                      ConsistencyParam{Protocol::kNqnfs, 2},
+                      ConsistencyParam{Protocol::kNqnfs, 3},
+                      ConsistencyParam{Protocol::kNqnfs, 4},
+                      ConsistencyParam{Protocol::kNqnfs, 5},
+                      ConsistencyParam{Protocol::kNqnfs, 6}),
     [](const ::testing::TestParamInfo<ConsistencyParam>& info) {
       return ProtocolLabel(info.param.protocol) + "Seed" + std::to_string(info.param.seed);
     });

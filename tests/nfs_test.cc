@@ -11,7 +11,7 @@ namespace nfs {
 namespace {
 
 using testbed::ClientMachineParams;
-using testbed::ServerProtocol;
+using testbed::Protocol;
 using testbed::TestBytes;
 using testbed::TestPattern;
 using testbed::TestStr;
@@ -22,7 +22,7 @@ struct NfsWorld : World {
   NfsClient* fsb = nullptr;
 
   explicit NfsWorld(NfsClientParams params = {}, int num_clients = 2)
-      : World(ServerProtocol::kNfs, num_clients) {
+      : World(Protocol::kNfs, num_clients) {
     fsa = &client(0).MountNfs("/data", server->address(), server->root(), params);
     if (num_clients > 1) {
       fsb = &client(1).MountNfs("/data", server->address(), server->root(), params);

@@ -16,7 +16,7 @@
 
 namespace {
 
-using testbed::ServerProtocol;
+using testbed::Protocol;
 using testbed::TestBytes;
 using testbed::TestStr;
 using testbed::World;
@@ -26,7 +26,7 @@ nqnfs::NqnfsServer& Server(World& w) { return *w.server->nqnfs_server(); }
 // --- grant / extend / expire lifecycle ---------------------------------------
 
 TEST(NqnfsLeaseTest, LeaseIsGrantedUsedAndLapsesWhenIdle) {
-  World w(ServerProtocol::kNqnfs, 1);
+  World w(Protocol::kNqnfs, 1);
   nqnfs::NqnfsClient& a =
       w.client(0).MountNqnfs("/data", w.server->address(), w.server->root());
   bool done = false;
@@ -61,7 +61,7 @@ TEST(NqnfsLeaseTest, LeaseIsGrantedUsedAndLapsesWhenIdle) {
 }
 
 TEST(NqnfsLeaseTest, PiggybackedExtensionsKeepOneLeaseAliveAcrossTerms) {
-  World w(ServerProtocol::kNqnfs, 1);
+  World w(Protocol::kNqnfs, 1);
   nqnfs::NqnfsClient& a =
       w.client(0).MountNqnfs("/data", w.server->address(), w.server->root());
   bool done = false;
@@ -90,7 +90,7 @@ TEST(NqnfsLeaseTest, PiggybackedExtensionsKeepOneLeaseAliveAcrossTerms) {
 }
 
 TEST(NqnfsLeaseTest, RemoveDropsLeasesBeforeTheyLapse) {
-  World w(ServerProtocol::kNqnfs, 1);
+  World w(Protocol::kNqnfs, 1);
   w.client(0).MountNqnfs("/data", w.server->address(), w.server->root());
   bool done = false;
   w.simulator.Spawn([](World& w, bool& done) -> sim::Task<void> {
@@ -111,7 +111,7 @@ TEST(NqnfsLeaseTest, RemoveDropsLeasesBeforeTheyLapse) {
 // --- write-lease eviction via the callback channel ---------------------------
 
 TEST(NqnfsLeaseTest, ReaderVacatesWriteLeaseAndSeesDelayedWrites) {
-  World w(ServerProtocol::kNqnfs, 2);
+  World w(Protocol::kNqnfs, 2);
   nqnfs::NqnfsClient& a =
       w.client(0).MountNqnfs("/data", w.server->address(), w.server->root());
   w.client(1).MountNqnfs("/data", w.server->address(), w.server->root());
@@ -151,7 +151,7 @@ TEST(NqnfsLeaseTest, ShortLeaseExpiryInterleavesWithWritesSafely) {
   testbed::ServerMachineParams sp;
   sp.nqnfs.lease_term = sim::Sec(3);
   sp.nqnfs.lease_scan = sim::Msec(500);
-  World w(ServerProtocol::kNqnfs, 2, sp, {}, net);
+  World w(Protocol::kNqnfs, 2, sp, {}, net);
   trace::Recorder recorder(w.simulator);
   trace::SetActive(&recorder);
   nqnfs::NqnfsClient& a = w.client(0).MountNqnfs(
@@ -208,7 +208,7 @@ TEST(NqnfsLeaseTest, ShortLeaseExpiryInterleavesWithWritesSafely) {
 // --- vacate failure: wait out the lease --------------------------------------
 
 TEST(NqnfsLeaseTest, UnreachableWriteHolderIsWaitedOutNotRevoked) {
-  World w(ServerProtocol::kNqnfs, 2);
+  World w(Protocol::kNqnfs, 2);
   w.client(0).MountNqnfs("/data", w.server->address(), w.server->root());
   w.client(1).MountNqnfs("/data", w.server->address(), w.server->root());
   bool done = false;
@@ -256,7 +256,7 @@ TEST(NqnfsLeaseTest, UnreachableWriteHolderIsWaitedOutNotRevoked) {
 // --- post-reboot quiet window -------------------------------------------------
 
 TEST(NqnfsLeaseTest, QuietWindowDeniesGrantsButServesDataImmediately) {
-  World w(ServerProtocol::kNqnfs, 1);
+  World w(Protocol::kNqnfs, 1);
   nqnfs::NqnfsClient& a =
       w.client(0).MountNqnfs("/data", w.server->address(), w.server->root());
   bool done = false;
@@ -304,7 +304,7 @@ TEST(NqnfsLeaseTest, QuietWindowDeniesGrantsButServesDataImmediately) {
 
 TEST(NqnfsSweepTest, GoldenFaultSeedPassesCheckerUnderLossAndCrash) {
   fault::SweepOptions options;
-  options.protocol = testbed::ServerProtocol::kNqnfs;
+  options.protocol = testbed::Protocol::kNqnfs;
   options.trace_check = true;
   options.plan.loss = 0.05;
   options.plan.duplicate = 0.02;

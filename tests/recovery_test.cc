@@ -13,8 +13,8 @@
 namespace snfs {
 namespace {
 
+using testbed::Protocol;
 using testbed::ServerMachineParams;
-using testbed::ServerProtocol;
 using testbed::TestBytes;
 using testbed::TestPattern;
 using testbed::TestStr;
@@ -25,7 +25,7 @@ struct RecoveryWorld : World {
   SnfsClient* fsb = nullptr;
 
   explicit RecoveryWorld(net::NetworkParams net_params = {})
-      : World(ServerProtocol::kSnfs, 2, ServerParams(), {}, net_params) {
+      : World(Protocol::kSnfs, 2, ServerParams(), {}, net_params) {
     SnfsClientParams cp;
     cp.enable_recovery = true;
     cp.keepalive_interval = sim::Sec(10);

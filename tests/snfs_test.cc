@@ -11,8 +11,8 @@ namespace snfs {
 namespace {
 
 using testbed::ClientMachineParams;
+using testbed::Protocol;
 using testbed::ServerMachineParams;
-using testbed::ServerProtocol;
 using testbed::TestBytes;
 using testbed::TestPattern;
 using testbed::TestStr;
@@ -25,7 +25,7 @@ struct SnfsWorld : World {
 
   explicit SnfsWorld(SnfsClientParams params = {}, int num_clients = 3,
                      ServerMachineParams server_params = {})
-      : World(ServerProtocol::kSnfs, num_clients, server_params) {
+      : World(Protocol::kSnfs, num_clients, server_params) {
     fsa = &client(0).MountSnfs("/data", server->address(), server->root(), params);
     if (num_clients > 1) {
       fsb = &client(1).MountSnfs("/data", server->address(), server->root(), params);

@@ -11,7 +11,7 @@
 
 namespace {
 
-using testbed::ServerProtocol;
+using testbed::Protocol;
 using testbed::TestPattern;
 using testbed::World;
 
@@ -146,7 +146,7 @@ class SnfsLossSweep : public ::testing::TestWithParam<int> {};
 TEST_P(SnfsLossSweep, DataIntegritySurvivesLossyNetwork) {
   net::NetworkParams net;
   net.loss_rate = GetParam() / 100.0;
-  World w(ServerProtocol::kSnfs, 2, {}, {}, net);
+  World w(Protocol::kSnfs, 2, {}, {}, net);
   w.client(0).MountSnfs("/data", w.server->address(), w.server->root());
   w.client(1).MountSnfs("/data", w.server->address(), w.server->root());
   bool done = false;

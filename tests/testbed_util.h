@@ -18,7 +18,7 @@ struct World {
   std::unique_ptr<ServerMachine> server;
   std::vector<std::unique_ptr<ClientMachine>> clients;
 
-  explicit World(ServerProtocol protocol, int num_clients = 2,
+  explicit World(Protocol protocol, int num_clients = 2,
                  ServerMachineParams server_params = {},
                  ClientMachineParams client_params = {},
                  net::NetworkParams net_params = {})
@@ -40,19 +40,21 @@ struct World {
 };
 
 // Mount the server's export on client `i` with the matching protocol client.
-inline void MountData(World& w, int i, ServerProtocol protocol,
+inline void MountData(World& w, int i, Protocol protocol,
                       const std::string& path = "/data") {
   w.client(i).MountRemote(protocol, path, w.server->address(), w.server->root());
 }
 
-inline std::string ProtocolLabel(ServerProtocol protocol) {
+inline std::string ProtocolLabel(Protocol protocol) {
   switch (protocol) {
-    case ServerProtocol::kNfs:
+    case Protocol::kNfs:
       return "Nfs";
-    case ServerProtocol::kSnfs:
+    case Protocol::kSnfs:
       return "Snfs";
-    case ServerProtocol::kNqnfs:
+    case Protocol::kNqnfs:
       return "Nqnfs";
+    case Protocol::kLocal:
+      return "Local";
   }
   return "Unknown";
 }

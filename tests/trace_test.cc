@@ -18,7 +18,7 @@
 
 namespace {
 
-using testbed::ServerProtocol;
+using testbed::Protocol;
 using testbed::World;
 using trace::Event;
 using trace::EventKind;
@@ -73,7 +73,7 @@ struct TracedRun {
 // and fsyncs a file, client 1 reads it, client 0 overwrites, client 1 reads
 // the new version (open/close consistency via the SNFS state machine).
 TracedRun RunReferenceScenario() {
-  World w(ServerProtocol::kSnfs, 2);
+  World w(Protocol::kSnfs, 2);
   trace::Recorder recorder(w.simulator);
   trace::SetActive(&recorder);
   w.client(0).MountSnfs("/data", w.server->address(), w.server->root());
@@ -125,7 +125,7 @@ TEST(TraceRecorderTest, ReferenceScenarioChecksumIsPinned) {
   // perturbing the simulation, nondeterministic iteration order leaking into
   // event order — is exactly what this test exists to catch.
   TracedRun run = RunReferenceScenario();
-  EXPECT_EQ(run.checksum, 0x85aedbb20d651907ull)
+  EXPECT_EQ(run.checksum, 0xee13df9092e391f5ull)
       << "compact trace changed; first lines:\n"
       << run.compact.substr(0, 600);
 }
@@ -170,7 +170,7 @@ TEST(TraceRecorderTest, HandlerSpansParentAcrossMachines) {
   // rpc.attempt span begun on a DIFFERENT machine (the caller's side),
   // carried over the wire in the envelope rather than through the ambient
   // context.
-  World w(ServerProtocol::kSnfs, 1);
+  World w(Protocol::kSnfs, 1);
   trace::Recorder recorder(w.simulator);
   trace::SetActive(&recorder);
   w.client(0).MountSnfs("/data", w.server->address(), w.server->root());
@@ -297,6 +297,54 @@ TEST(TraceCheckerTest, FleetFreshAndUnfloorServesAreClean) {
   // No committed floor for this file: nothing to be stale against.
   events.push_back(Instant("fleet.meta_serve", 5, "fsid=2 file=8 v=1 src=attr"));
   EXPECT_TRUE(trace::CheckTrace(events).empty());
+}
+
+// --- per-file keys across shards --------------------------------------------
+
+TEST(TraceCheckerTest, SameFileidOnTwoShardsIsTwoFiles) {
+  // Shards of a fleet reuse fileids; every per-file rule keys by
+  // (fsid, fileid), so these events name two files and conflict nowhere.
+  std::vector<Event> events;
+  // concurrent-dirty: two clients dirty "file 4", one on each shard.
+  events.push_back(Instant("cache.file_dirty", 2, "scope=snfs fsid=1 file=4"));
+  events.push_back(Instant("cache.file_dirty", 3, "scope=snfs fsid=2 file=4"));
+  // dual-write-lease: each shard grants its own file 4 to a different host.
+  events.push_back(InstantAt("nqnfs.write_lease_grant", 0, 0, "fsid=1 file=4 host=2 expires=100"));
+  events.push_back(InstantAt("nqnfs.write_lease_grant", 1, 50, "fsid=2 file=4 host=3 expires=150"));
+  // stale-read: the newer grant on shard 1 does not raise shard 2's floor,
+  // and an invalidation on shard 1 does not drop shard 2's grant.
+  events.push_back(Instant("snfs.open_granted", 2, "fsid=2 file=7 version=1 write=0 cache=1"));
+  events.push_back(Instant("snfs.open_granted", 2, "fsid=1 file=7 version=5 write=0 cache=1"));
+  events.push_back(Instant("snfs.invalidated", 2, "fsid=1 file=7 reason=callback"));
+  events.push_back(Instant("snfs.read_observe", 2, "fsid=2 file=7 version=1"));
+  // lease-expired-read: likewise for NQNFS read leases.
+  events.push_back(
+      InstantAt("nqnfs.lease_grant", 3, 0, "fsid=2 file=8 version=1 write=0 expires=900"));
+  events.push_back(
+      InstantAt("nqnfs.lease_grant", 3, 0, "fsid=1 file=8 version=5 write=0 expires=900"));
+  events.push_back(InstantAt("nqnfs.lease_end", 3, 10, "fsid=1 file=8 reason=expired"));
+  events.push_back(InstantAt("nqnfs.read_observe", 3, 20, "fsid=2 file=8 version=1"));
+  std::vector<trace::Violation> violations = trace::CheckTrace(events);
+  EXPECT_TRUE(violations.empty()) << "[" << violations.front().rule << "] "
+                                  << violations.front().message;
+}
+
+TEST(TraceCheckerTest, SameFileidOnOneShardStillConflicts) {
+  std::vector<Event> events;
+  events.push_back(Instant("cache.file_dirty", 2, "scope=snfs fsid=2 file=4"));
+  events.push_back(Instant("cache.file_dirty", 3, "scope=snfs fsid=2 file=4"));
+  events.push_back(InstantAt("nqnfs.write_lease_grant", 1, 0, "fsid=2 file=4 host=2 expires=100"));
+  events.push_back(InstantAt("nqnfs.write_lease_grant", 1, 50, "fsid=2 file=4 host=3 expires=150"));
+  events.push_back(Instant("snfs.open_granted", 2, "fsid=2 file=7 version=5 write=0 cache=1"));
+  events.push_back(Instant("snfs.read_observe", 2, "fsid=2 file=7 version=4"));
+  events.push_back(
+      InstantAt("nqnfs.lease_grant", 3, 0, "fsid=2 file=8 version=1 write=0 expires=100"));
+  events.push_back(InstantAt("nqnfs.read_observe", 3, 150, "fsid=2 file=8 version=1"));
+  std::vector<trace::Violation> violations = trace::CheckTrace(events);
+  EXPECT_EQ(Rules(violations), (std::vector<std::string>{"concurrent-dirty", "dual-write-lease",
+                                                         "stale-read", "lease-expired-read"}));
+  ASSERT_FALSE(violations.empty());
+  EXPECT_NE(violations[0].message.find("file 4 (fsid 2)"), std::string::npos);
 }
 
 // --- NQNFS lease fixtures --------------------------------------------------
